@@ -1,7 +1,7 @@
 """Parallel enumeration service — speedup and warm-store benchmarks.
 
-Enumerates a sweep of study functions serially and through the sharded
-multi-process service at 1/2/4 workers, then repeats the 4-worker run
+Enumerates a sweep of study functions serially and through the
+per-function multi-process service at 1/2/4 workers, then repeats the 4-worker run
 against a persistent space store to measure the warm cache-hit path.
 Honest wall-clock numbers (including the host CPU count) land in
 ``benchmarks/results/parallel.json``.
@@ -30,7 +30,7 @@ from repro.programs import compile_benchmark
 from .conftest import RESULTS_DIR, bench_config
 
 #: functions that enumerate completely within the default caps; large
-#: enough that the per-shard work dominates the process plumbing
+#: enough that each function's work dominates the process plumbing
 SWEEP = [
     ("sha", "rol"),
     ("jpeg", "descale"),

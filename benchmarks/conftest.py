@@ -117,8 +117,8 @@ def enumerated_suite():
     """(bench, function) -> FunctionSpaceStats for the study set.
 
     With ``REPRO_BENCH_JOBS>1`` or ``REPRO_BENCH_STORE`` set, the study
-    set is enumerated through the sharded parallel service; the merged
-    spaces are bit-identical to serial, so every downstream table is
+    set is enumerated through the parallel service; its spaces are
+    bit-identical to serial, so every downstream table is
     unchanged.
     """
     study = study_functions()

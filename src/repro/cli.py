@@ -393,11 +393,12 @@ def cmd_enumerate(args) -> int:
             )
     if injector is not None:
         if use_parallel:
-            # Per-shard injector counters live in the workers; the
-            # quarantine log below is the merged record of what fired.
+            # Each function draws faults from its own injector (the run
+            # seed mixed with its job id) inside its worker process; the
+            # quarantine log below is the record of what fired.
             print(
                 f"fault injection: seed={injector.seed}, "
-                f"rate={injector.rate} (per-shard; see quarantine report)"
+                f"rate={injector.rate} (per-function; see quarantine report)"
             )
         else:
             print(

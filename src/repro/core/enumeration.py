@@ -349,9 +349,10 @@ class SpaceEnumerator:
             )
         )
         # Semantic collapse (docs/COLLAPSE.md): merge decisions live in
-        # a SemanticCollapser so the serial expander and the parallel
-        # coordinator's replay merge share one decision procedure.  A
-        # program context (config.program) enables the VM co-execution
+        # a SemanticCollapser, whose state round-trips through
+        # checkpoints.  Parallel workers run this same enumerator, so
+        # they make the same decisions in the same order.  A program
+        # context (config.program) enables the VM co-execution
         # fallback; without it unproven collisions simply stay split.
         self.collapser = None
         if self.config.collapse == "semantic":

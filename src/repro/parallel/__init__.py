@@ -1,16 +1,18 @@
-"""Sharded multi-process exhaustive enumeration (``repro.parallel``).
+"""Multi-process exhaustive enumeration (``repro.parallel``).
 
 The serial enumerator (:mod:`repro.core.enumeration`) is the reference
-implementation; this package scales it across worker processes while
-keeping the merged space DAG **bit-identical** to a serial run — same
-node ids, edges, dormant sets and counters, so every Table 3–7 number
-is reproducible at any ``--jobs`` level.  See ``docs/PARALLEL.md``.
+implementation; this package runs it for many functions at once, one
+fresh worker process per function, so every space DAG is the serial
+DAG — same node ids, edges, dormant sets and counters, and every Table
+3–7 number is reproducible at any ``--jobs`` level.  See
+``docs/PARALLEL.md``.
 
-- :mod:`~repro.parallel.coordinator` — job decomposition, worker
-  leases, deterministic in-order merging, budgets, level checkpoints;
-- :mod:`~repro.parallel.worker` — the stateless shard-expansion
-  process;
-- :mod:`~repro.parallel.merge` — serial-order replay of shard results;
+- :mod:`~repro.parallel.coordinator` — the per-function process pool:
+  leases, heartbeats, retries, store and memo, the journal;
+- :mod:`~repro.parallel.worker` — one function's serial enumeration in
+  a worker process;
+- :mod:`~repro.parallel.merge` — the finished-function payload, both
+  directions;
 - :mod:`~repro.parallel.store` — persistent completed-space cache;
 - :mod:`~repro.parallel.telemetry` — JSONL event log + live status.
 """

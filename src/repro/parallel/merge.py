@@ -1,194 +1,91 @@
-"""Deterministic fusion of shard results into one space DAG.
+"""The wire format of one finished function, in both directions.
 
-The coordinator does not union per-shard graphs — it **replays** each
-shard's recorded outcomes into the function's DAG in exactly the order
-the serial enumerator would have taken: shards strictly in creation
-order (frontier order), nodes in shard order, phases in Table 1 order.
-Replay is what makes the merged space *bit-identical* to a serial run:
-node ids, levels, edges, dormant sets and the attempted/applied
-counters all come out the same, so Table 3 rows and the Table 4–6
-interaction matrices match a ``--jobs 1`` run exactly.
-
-Two details make the replay equivalent rather than merely similar:
-
-- **arrival phases are re-derived at merge time.**  A shard is cut at
-  a level barrier, but an earlier node of the same level can merge an
-  edge *into* a later node while that node's shard is already out at a
-  worker.  The worker therefore attempts the phase anyway; the replay
-  consults the DAG's current in-edges (exactly what the serial loop
-  does) and discards outcomes for phases that became arrival phases
-  after the shard was cut — including their quarantine records;
-- **identical-instance lookups happen here, not in workers.**  Workers
-  fingerprint candidates but never see the global key table, so two
-  workers discovering the same instance cannot race; the first replay
-  in serial order creates the node, the second becomes an edge.
+A worker runs one function's serial enumeration to its end and posts
+:func:`function_payload` of the result; the coordinator folds that
+payload back into an :class:`~repro.core.enumeration.EnumerationResult`
+with :func:`merge_shard`, once per function.  Nothing is replayed or
+re-derived: the DAG travels in its checkpoint form
+(:func:`~repro.core.checkpoint.dag_to_dict`), and every counter —
+attempts, quarantine records, per-phase outcomes, sanitizer and
+collapse statistics — is the serial run's own.  The payload is plain
+JSON-compatible data, so it crosses any start method's process
+boundary.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import islice
+from typing import Dict, Optional, Tuple
 
 from repro.core import checkpoint as ckpt
-from repro.core.enumeration import _arrival_phases
-from repro.robustness.quarantine import QuarantineRecord
-from repro.staticanalysis.canon import _reaches as canon_reaches
+from repro.core.enumeration import EnumerationResult
+from repro.core.memo import TransitionMemo
+from repro.robustness.quarantine import QuarantineLog
 
 
-class MergeError(RuntimeError):
-    """A shard result cannot be replayed into the space DAG."""
+def function_payload(
+    result: EnumerationResult,
+    wall: float,
+    phase_stats: Optional[Dict[str, Dict[str, int]]],
+    memo: Optional[TransitionMemo],
+    mark: Optional[Tuple[int, int, int]],
+) -> Dict:
+    """A worker's finished function, ready to post.
 
-
-def _fold_sanitize(counts, outcome, records) -> None:
-    """Fold one replayed outcome into the job's sanitizer counters.
-
-    Mirrors :class:`~repro.staticanalysis.checker.EdgeChecker`'s own
-    accounting as closely as the shard wire format allows: every
-    checked edge counts once, and a quarantined edge contributes one
-    finding/violation/refutation (the checker's per-finding counts are
-    not shipped across the process boundary).
+    With a warm *memo*, what it learned since *mark* — its (entries,
+    hits, misses) before the run — rides along: entries are only ever
+    appended (``setdefault``), so the new ones are those past the mark.
     """
-    if not counts:
-        counts.update(
-            edges=0,
-            findings=0,
-            contract_violations=0,
-            proved=0,
-            tested=0,
-            unverified=0,
-            refuted=0,
+    payload = {
+        "dag": ckpt.dag_to_dict(result.dag),
+        "completed": result.completed,
+        "attempted": result.attempted_phases,
+        "applied": result.phases_applied,
+        "elapsed": result.elapsed,
+        "abort_reason": result.abort_reason,
+        "levels": result.levels_completed,
+        "resumed_from": result.resumed_from,
+        "quarantine": result.quarantine.to_dicts(),
+        "phase_stats": phase_stats or None,
+        "sanitize_stats": result.sanitize_stats,
+        "collapse_stats": result.collapse_stats,
+        "wall": wall,
+        "memo": None,
+    }
+    if memo is not None:
+        entries, hits, misses = mark
+        learned = TransitionMemo()
+        learned.entries = dict(islice(memo.entries.items(), entries, None))
+        payload["memo"] = dict(
+            learned.to_dict(), hits=memo.hits - hits, misses=memo.misses - misses
         )
-    verdict = outcome.get("verdict")
-    checked = outcome["active"]
-    for record in records:
-        kind = record.get("kind")
-        detail = record.get("detail", "")
-        if kind == "sanitizer":
-            counts["findings"] += 1
-            checked = True
-        elif kind == "contract":
-            counts["contract_violations"] += 1
-            checked = True
-        elif kind == "semantics" and detail.startswith("translation validator"):
-            counts["refuted"] += 1
-            checked = True
-    if checked:
-        counts["edges"] += 1
-    if verdict is not None:
-        counts[verdict] += 1
+    return payload
 
 
-def merge_shard(job, result) -> int:
-    """Replay one shard's expansions into *job*'s DAG.
+def merge_shard(job, payload: Dict, memo: Optional[TransitionMemo] = None):
+    """Fold one worker's finished-function *payload* into *job*.
 
-    *job* is the coordinator's per-function state (``dag``, ``config``,
-    ``functions``, ``texts``, ``next_frontier``, counters).  Returns
-    the number of new instances discovered.
+    Sets and returns ``job.result``; learned memo transitions are
+    merged into the run's warm *memo* (first recording wins, as in
+    :meth:`TransitionMemo.record_active`).
     """
-    config = job.config
-    dag = job.dag
-    functions = result["functions"]
-    texts = result["texts"]
-    #: per-phase attempted/active/dormant/quarantined telemetry; folded
-    #: here (not in workers) so the counts follow the replay's serial
-    #: semantics — discarded stale-arrival outcomes are not counted,
-    #: exactly as the serial enumerator never attempts them.  getattr:
-    #: merge also replays onto bare job stand-ins in tests.
-    phase_counts = getattr(job, "phase_counts", None)
-    #: sanitizer/transval counters, folded under the same replay
-    #: discipline — a discarded stale-arrival outcome contributes
-    #: neither an edge nor a verdict
-    sanitize_counts = getattr(job, "sanitize_counts", None)
-    sanitize_on = getattr(config, "sanitize", None) is not None
-    #: semantic collapse decisions are coordinator-side only — workers
-    #: never see the digest index, so merges cannot race, and the
-    #: replay makes them in exactly the serial enumerator's order
-    collapser = getattr(job, "collapser", None)
-    added = 0
-    for node_id, outcomes in result["expansions"]:
-        node = dag.nodes[node_id]
-        by_phase = {outcome["phase"]: outcome for outcome in outcomes}
-        arrival = _arrival_phases(node)
-        for phase in config.phases:
-            if phase.id in arrival:
-                # The phase that produced this instance just ran to its
-                # fixpoint; the serial enumerator marks it dormant
-                # without an attempt, and so does the replay — even
-                # when the worker, holding a stale arrival set,
-                # attempted it anyway.
-                node.dormant.add(phase.id)
-                continue
-            outcome = by_phase.get(phase.id)
-            if outcome is None:
-                raise MergeError(
-                    f"shard {result['shard_id']} has no outcome for phase "
-                    f"{phase.id!r} at node {node_id} of {dag.function_name!r}"
-                )
-            job.attempted += 1
-            job.applied += 1
-            records = outcome.get("quarantine", ())
-            for record in records:
-                job.quarantine.add(QuarantineRecord.from_dict(record))
-            if phase_counts is not None:
-                counts = phase_counts.get(phase.id)
-                if counts is None:
-                    counts = {"active": 0, "dormant": 0, "quarantined": 0}
-                    phase_counts[phase.id] = counts
-                counts["active" if outcome["active"] else "dormant"] += 1
-                counts["quarantined"] += len(records)
-            if sanitize_on and sanitize_counts is not None:
-                _fold_sanitize(sanitize_counts, outcome, records)
-            if not outcome["active"]:
-                node.dormant.add(phase.id)
-                continue
-            key = ckpt.key_from_json(outcome["key"])
-            keystr = json.dumps(outcome["key"])
-            existing = dag.lookup(key)
-            if existing is not None:
-                if config.exact and job.texts.get(key) != texts.get(keystr):
-                    raise RuntimeError(
-                        f"fingerprint collision in {dag.function_name}: two "
-                        "distinct instances share (count, byte-sum, CRC)"
-                    )
-                if (
-                    collapser is not None
-                    and key not in dag.by_key
-                    and (
-                        existing.node_id == node.node_id
-                        or canon_reaches(dag, existing.node_id, node.node_id)
-                    )
-                ):
-                    # The hit resolved through an alias onto this node's
-                    # own root path; the edge would close a cycle.  Fall
-                    # through — the collapser splits (same decision, same
-                    # order as the serial expander's alias guard).
-                    existing = None
-            if existing is not None:
-                dag.add_edge(node, phase.id, existing)
-                continue
-            digest = None
-            if collapser is not None:
-                candidate = ckpt.function_from_dict(functions[keystr])
-                digest, rep = collapser.merge_target(dag, node, candidate)
-                if rep is not None:
-                    # Proved/tested equivalent to an existing instance:
-                    # alias + edge, no new node — and the candidate's
-                    # subspace is never dispatched (the representative's
-                    # already is/was).
-                    dag.add_alias(key, rep.node_id)
-                    if config.exact:
-                        job.texts[key] = texts.get(keystr)
-                    dag.add_edge(node, phase.id, rep)
-                    continue
-            child = dag.add_node(
-                key, node.level + 1, outcome["num_insts"], outcome["cf_crc"]
-            )
-            if collapser is not None:
-                collapser.register(digest, child.node_id, functions[keystr])
-            if config.exact:
-                job.texts[key] = texts.get(keystr)
-            dag.add_edge(node, phase.id, child)
-            job.functions[child.node_id] = functions[keystr]
-            job.next_frontier.append(child.node_id)
-            added += 1
-        node.expanded = True
-    return added
+    learned = payload["memo"]
+    if memo is not None and learned is not None:
+        for key, entry in TransitionMemo.from_dict(learned).entries.items():
+            memo.entries.setdefault(key, entry)
+        memo.hits += learned["hits"]
+        memo.misses += learned["misses"]
+    job.result = EnumerationResult(
+        ckpt.dag_from_dict(job.function_name, payload["dag"]),
+        payload["completed"],
+        payload["attempted"],
+        payload["applied"],
+        payload["elapsed"],
+        payload["abort_reason"],
+        quarantine=QuarantineLog.from_dicts(payload["quarantine"]),
+        levels_completed=payload["levels"],
+        resumed_from=payload["resumed_from"] if job.resume else None,
+        sanitize_stats=payload["sanitize_stats"],
+        collapse_stats=payload["collapse_stats"],
+    )
+    return job.result

@@ -13,9 +13,9 @@ persists one *completed* enumeration — the space DAG plus its counters
   ``difftest``, ``phase_timeout``).
 
 Runs with a fault injector are never stored: sabotage makes the space
-depend on the application order, which a parallel run does not
-reproduce.  Truncated (aborted) enumerations are never stored either —
-a cache must not serve a partial space as the real one.
+depend on the fault stream, which a parallel run seeds per function
+and a serial run does not.  Truncated (aborted) enumerations are never
+stored either — a cache must not serve a partial space as the real one.
 
 Entries are single JSON files written atomically through
 :func:`repro.core.checkpoint.save_checkpoint`, so a crash mid-write

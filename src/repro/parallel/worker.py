@@ -1,327 +1,155 @@
 """Worker-process side of the parallel enumeration service.
 
-Each worker is one OS process running :func:`worker_main`: it takes
-shard specs off its task queue, expands every frontier node in the
-shard (clone → guarded phase application → fingerprint, exactly the
-serial enumerator's per-attempt pipeline), and posts the recorded
-outcomes back on the shared event queue.  Workers never touch the
-space DAG — merging is the coordinator's job — so they stay stateless
-between shards and a dead worker loses at most one shard lease.
+Each worker is one fresh OS process that runs one function's serial
+:class:`~repro.core.enumeration.SpaceEnumerator` — same engine, budgets
+and checkpoints as a ``--jobs 1`` run — and posts the finished result
+(:func:`repro.parallel.merge.function_payload`) on its private channel.
+A fresh process per function keeps the flat IR's process-wide intern
+pools from piling up across functions.
 
-Liveness and crash safety:
-
-- a **heartbeat** event is posted between node expansions; the
-  coordinator re-leases the shard of any worker whose heartbeats stop
-  (hung) or whose process died;
-- with a ``run_dir``, large shards are **checkpointed** at instance
-  boundaries through the PR-1 checkpoint writer, so the next lease
-  resumes instead of restarting;
-- the per-phase watchdog inside :class:`GuardedPhaseRunner` works here
-  unchanged: a worker process's main thread can install ``SIGALRM``,
-  and off the main thread the guard degrades to the cooperative
-  deadline check.
-
-The ``chaos`` entry of the job spec is a test hook: it makes one
-worker die (or hang) after a set number of node expansions so the
-lease-recovery path can be exercised deterministically.
+:class:`PooledEnumerator` adds, after every node expansion: a
+heartbeat (at most one per ``heartbeat_interval``) for the lease
+timeout; the fault injector's stream position, recorded in checkpoints
+and re-drawn on resume, so a function re-run after its worker died
+draws the same faults; and the ``chaos`` test hook, which checkpoints
+and then kills (or hangs) the worker.  Workers stop gracefully on
+SIGTERM only; SIGINT belongs to the coordinator.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
-import traceback
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core import checkpoint as ckpt
-from repro.core.enumeration import _node_key
-from repro.core.fingerprint import fingerprint_function
+from repro.core.enumeration import EnumerationConfig, SpaceEnumerator
 from repro.frontend import compile_source
-from repro.machine.target import DEFAULT_TARGET
-from repro.opt import attempt_phase_on_clone, phase_by_id
-from repro.parallel import shards
-from repro.robustness.guard import (
-    DifferentialTester,
-    GuardedPhaseRunner,
-    default_vectors,
-)
+from repro.ir.function import Function
+from repro.observability import tracer as obs
+from repro.opt import phase_by_id
+from repro.parallel.merge import function_payload
+from repro.robustness.faults import FaultInjector
 
 
-def _build_guard(
-    cfg: Dict, spec: Dict, program_cache: Dict
-) -> Optional[Tuple[GuardedPhaseRunner, object]]:
-    """The ``(guard, fault injector)`` stack for one shard, mirroring
-    :meth:`EnumerationConfig.guards_enabled`; None when no guard is
-    needed."""
-    injector = shards.shard_fault_injector(cfg.get("fault"), spec["shard_id"])
+class PooledEnumerator(SpaceEnumerator):
+    """The serial enumerator plus the pool's per-node hooks."""
 
-    def _program():
-        job_id = spec["job_id"]
-        if job_id not in program_cache:
-            program_cache[job_id] = compile_source(spec["source"])
-        return program_cache[job_id]
+    GRACEFUL_SIGNALS = (signal.SIGTERM,)
 
-    difftester = None
-    if cfg.get("difftest") and spec.get("source"):
-        program = _program()
-        pristine = program.functions[spec["function_name"]]
-        difftester = DifferentialTester(
-            program, spec["function_name"], default_vectors(pristine)
-        )
-    checker = None
-    if cfg.get("sanitize"):
-        from repro.staticanalysis.checker import EdgeChecker
-
-        # full mode co-executes through the program; fast mode only
-        # needs the function (program context stays None off-source)
-        program = _program() if spec.get("source") else None
-        checker = EdgeChecker(
-            mode=cfg["sanitize"],
-            target=DEFAULT_TARGET,
-            program=program,
-            entry=spec["function_name"],
-        )
-    if not (
-        cfg.get("validate")
-        or cfg.get("phase_timeout") is not None
-        or injector is not None
-        or difftester is not None
-        or checker is not None
+    def __init__(
+        self,
+        func: Function,
+        config: EnumerationConfig,
+        post: Callable[..., None],
+        heartbeat_interval: float,
+        chaos: Optional[Dict] = None,
     ):
-        return None
-    return GuardedPhaseRunner(
-        target=DEFAULT_TARGET,
-        validate=bool(cfg.get("validate")),
-        difftest=difftester,
-        phase_timeout=cfg.get("phase_timeout"),
-        fault_injector=injector,
-        sanitizer=checker,
-    ), injector
-
-
-class _ShardRunner:
-    """Expands one shard; owns its checkpoint/heartbeat cadence."""
-
-    def __init__(self, worker_id: int, job_spec: Dict, spec: Dict, event_queue):
-        self.worker_id = worker_id
-        self.job_spec = job_spec
-        self.spec = spec
-        self.event_queue = event_queue
-        self.cfg = job_spec["config"]
-        self.phases = [phase_by_id(p) for p in self.cfg["phases"]]
-        self.run_dir = job_spec.get("run_dir")
-        self.expansions = []
-        self.functions: Dict[str, dict] = {}
-        self.texts: Dict[str, str] = {}
-        self.attempts = 0
+        super().__init__(func, config)
+        self._post = post
+        self._heartbeat_interval = heartbeat_interval
+        self._chaos = chaos
+        self._nodes = 0
         self._last_heartbeat = time.monotonic()
-        self._last_checkpoint = time.monotonic()
+        #: injector applications consumed up to the last instance
+        #: boundary — the count a checkpoint's state corresponds to
+        self._boundary_applications = 0
 
-    def run(self, program_cache: Dict, chaos_state: Dict) -> Dict:
-        spec, cfg = self.spec, self.cfg
-        guard = None
-        injector = None
-        built = _build_guard(cfg, spec, program_cache)
-        if built is not None:
-            guard, injector = built
-        start_index = self._restore(injector)
-        started = time.monotonic()
-        for index in range(start_index, len(spec["nodes"])):
-            self._expand_node(spec["nodes"][index], guard)
-            chaos_state["nodes"] = chaos_state.get("nodes", 0) + 1
-            self._chaos(chaos_state, injector)
-            self._heartbeat(index + 1)
-            self._maybe_checkpoint(injector)
-        if self.run_dir:
-            shards.discard_shard_checkpoint(self.run_dir, spec["shard_id"])
-        return {
-            "shard_id": spec["shard_id"],
-            "job_id": spec["job_id"],
-            "level": spec["level"],
-            "expansions": self.expansions,
-            "functions": self.functions,
-            "texts": self.texts,
-            "attempts": self.attempts,
-            "wall": time.monotonic() - started,
-        }
-
-    # ------------------------------------------------------------------
-
-    def _restore(self, injector) -> int:
-        """Resume a reclaimed shard from its last instance boundary."""
-        if not self.run_dir:
-            return 0
-        state = shards.load_shard_checkpoint(self.run_dir, self.spec["shard_id"])
-        if state is None:
-            return 0
-        self.expansions = state["expansions"]
-        self.functions = state["functions"]
-        self.texts = state["texts"]
-        self.attempts = sum(
-            len(outcomes) for _node_id, outcomes in self.expansions
-        )
+    def _maybe_checkpoint(self) -> None:
+        # The serial loop calls this after every node expansion.
+        injector = self.config.fault_injector
         if injector is not None:
-            shards.fast_forward_injector(
-                injector,
-                state["injector_applications"],
-                self.cfg.get("phase_timeout"),
-            )
-        self.event_queue.put(
-            (
-                "shard_resumed",
-                self.worker_id,
-                {
-                    "shard_id": self.spec["shard_id"],
-                    "nodes_done": len(self.expansions),
-                },
-            )
-        )
-        return len(self.expansions)
-
-    def _expand_node(self, entry: Dict, guard: Optional[GuardedPhaseRunner]) -> None:
-        """One frontier node: attempt every non-arrival phase in order."""
-        cfg = self.cfg
-        func = ckpt.function_from_dict(entry["function"])
-        skip = set(entry["skip"])
-        outcomes = []
-        for phase in self.phases:
-            if phase.id in skip:
-                continue
-            self.attempts += 1
-            if guard is not None:
-                candidate = func.clone()
-                quarantined_before = len(guard.quarantine.records)
-                active = guard.apply(
-                    candidate,
-                    phase,
-                    node_key=f"node#{entry['node_id']}",
-                    level=self.spec["level"],
-                )
-                quarantine = [
-                    record.to_dict()
-                    for record in guard.quarantine.records[quarantined_before:]
-                ]
-            else:
-                # Single-clone fast path, same as the serial engine.
-                candidate = attempt_phase_on_clone(func, phase, DEFAULT_TARGET)
-                active = candidate is not None
-                quarantine = []
-            outcome = {"phase": phase.id, "active": bool(active)}
-            if quarantine:
-                outcome["quarantine"] = quarantine
-            if (
-                active
-                and guard is not None
-                and guard.sanitizer is not None
-                and guard.sanitizer.last_verdict is not None
-            ):
-                # the coordinator folds these into per-function
-                # sanitize_stats at merge time
-                outcome["verdict"] = guard.sanitizer.last_verdict
-            
-            if active:
-                fingerprint = fingerprint_function(
-                    candidate, keep_text=cfg["exact"], remap=cfg["remap"]
-                )
-                key = ckpt.key_to_json(_node_key(fingerprint, candidate))
-                keystr = json.dumps(key)
-                outcome.update(
-                    key=key,
-                    num_insts=fingerprint.num_insts,
-                    cf_crc=fingerprint.cf_crc,
-                )
-                if keystr not in self.functions:
-                    self.functions[keystr] = ckpt.function_to_dict(candidate)
-                if cfg["exact"]:
-                    self.texts[keystr] = fingerprint.text
-            outcomes.append(outcome)
-        self.expansions.append([entry["node_id"], outcomes])
-
-    def _heartbeat(self, nodes_done: int) -> None:
-        interval = self.job_spec.get("heartbeat_interval", 0.5)
+            self._boundary_applications = injector.applications
+        super()._maybe_checkpoint()
+        self._nodes += 1
         now = time.monotonic()
-        if now - self._last_heartbeat >= interval:
+        if now - self._last_heartbeat >= self._heartbeat_interval:
             self._last_heartbeat = now
-            self.event_queue.put(
-                (
-                    "heartbeat",
-                    self.worker_id,
-                    {"shard_id": self.spec["shard_id"], "nodes_done": nodes_done},
-                )
-            )
+            self._post("heartbeat", nodes=self._nodes)
+        chaos = self._chaos
+        if chaos and self._nodes >= chaos.get("after_nodes", 1):
+            if self.config.checkpoint_path is not None:
+                self._write_checkpoint()
+            if chaos.get("kind", "exit") == "hang":
+                time.sleep(3600.0)
+            os._exit(137)
 
-    def _maybe_checkpoint(self, injector, force: bool = False) -> None:
-        if not self.run_dir:
-            return
-        interval = self.job_spec.get("shard_checkpoint_interval", 5.0)
-        now = time.monotonic()
-        if force or now - self._last_checkpoint >= interval:
-            self._last_checkpoint = now
-            shards.save_shard_checkpoint(
-                self.run_dir,
-                self.spec["shard_id"],
-                self.expansions,
-                self.functions,
-                self.texts,
-                injector,
-            )
+    def _state(self) -> Dict[str, object]:
+        state = super()._state()
+        if self.config.fault_injector is not None:
+            state["injector_applications"] = self._boundary_applications
+        return state
 
-    def _chaos(self, chaos_state: Dict, injector) -> None:
-        """Test hook: die or hang after N node expansions (once)."""
-        chaos = self.job_spec.get("chaos")
-        if not chaos or chaos["worker"] != self.worker_id:
-            return
-        if chaos_state["nodes"] < chaos.get("after_nodes", 1):
-            return
-        # Persist the partial shard first so the recovery path that the
-        # chaos run exercises includes the checkpoint resume.
-        self._maybe_checkpoint(injector, force=True)
-        if chaos.get("kind", "exit") == "hang":
-            time.sleep(3600.0)
-        os._exit(137)
+    def _restore_state(self, path: str, state: Dict[str, object]) -> float:
+        consumed = super()._restore_state(path, state)
+        injector = self.config.fault_injector
+        if injector is not None:
+            # Re-draw the checkpointed applications' decisions, in
+            # order, consuming exactly the RNG state the earlier run did.
+            for _ in range(state.get("injector_applications", 0)):
+                if injector.should_inject():
+                    injector.choose_mode(self.config.phase_timeout)
+                    injector.injected += 1
+            self._boundary_applications = injector.applications
+        return consumed
 
 
-def worker_main(worker_id: int, job_spec: Dict, task_queue, event_queue) -> None:
-    """Worker process entry point: lease shards until told to stop."""
-    # The coordinator owns lifecycle; a ^C in the parent must not kill
-    # workers mid-shard (the graceful path drains and joins them).
+def _config(task: Dict) -> EnumerationConfig:
+    """The caller's EnumerationConfig, rebuilt in this process with the
+    function's own checkpoint, fault injector and program context."""
+    source = task["source"]
+    fault = task["fault"]
+    return EnumerationConfig(
+        phases=[phase_by_id(phase_id) for phase_id in task["phases"]],
+        program=compile_source(source) if source is not None else None,
+        fault_injector=FaultInjector(**fault) if fault is not None else None,
+        memo=task["memo"],
+        checkpoint_path=task["checkpoint_path"],
+        checkpoint_interval=task["checkpoint_interval"],
+        resume=task["resume"],
+        **task["settings"],
+    )
+
+
+def worker_main(worker_id: int, task: Dict, channel) -> None:
+    """Worker process entry point: enumerate one function, post it."""
+
+    def post(kind: str, **payload) -> None:
+        channel.put((kind, worker_id, payload))
+
+    # Not the coordinator's handlers a fork inherits: SIGTERM stops the
+    # worker (gracefully once a checkpointing run installs its own).
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # A fork-started worker inherits the coordinator's tracer and its
+    # open journal; the coordinator is the journal's single writer, so
+    # a worker only counts phase outcomes into a private tracer.
+    tracer = obs.Tracer() if task["trace"] else None
+    obs.ACTIVE = tracer
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread (tests)
-        pass
-    # A fork-started worker inherits the coordinator's installed tracer
-    # — and with it an open journal file descriptor.  Telemetry has a
-    # single writer (the coordinator, which folds worker outcomes at
-    # merge time), so tracing is always off in workers.
-    from repro.observability import tracer as obs_tracer
-
-    obs_tracer.ACTIVE = None
-    program_cache: Dict = {}
-    chaos_state: Dict = {}
-    while True:
-        spec = task_queue.get()
-        if spec is None:
-            break
-        try:
-            result = _ShardRunner(worker_id, job_spec, spec, event_queue).run(
-                program_cache, chaos_state
-            )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as error:
-            event_queue.put(
-                (
-                    "shard_error",
-                    worker_id,
-                    {
-                        "shard_id": spec["shard_id"],
-                        "job_id": spec["job_id"],
-                        "error": f"{type(error).__name__}: {error}",
-                        "traceback": traceback.format_exc(limit=8),
-                    },
-                )
-            )
-            continue
-        event_queue.put(("result", worker_id, result))
+        config = _config(task)
+        enumerator = PooledEnumerator(
+            ckpt.function_from_dict(task["function"]),
+            config,
+            post,
+            task["heartbeat_interval"],
+            task["chaos"],
+        )
+        memo = config.memo
+        mark = (len(memo), memo.hits, memo.misses) if memo is not None else None
+        started = time.perf_counter()
+        result = enumerator.run()
+        wall = time.perf_counter() - started
+        phase_stats = tracer.phase_counts if tracer is not None else None
+        payload = function_payload(result, wall, phase_stats, memo, mark)
+    except Exception as error:
+        post(
+            "shard_error",
+            error=f"{type(error).__name__}: {error}",
+            checkpoint_error=(
+                str(error) if isinstance(error, ckpt.CheckpointError) else None
+            ),
+        )
+        return
+    post("result", **payload)

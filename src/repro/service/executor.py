@@ -233,9 +233,9 @@ def _run_enumerate_parallel(
 ) -> Tuple[Dict[str, object], int]:
     """jobs > 1: multiplex the request onto the parallel coordinator.
 
-    The coordinator owns store consultation, level checkpoints under
-    the request's stable state dir, and SIGTERM checkpointing; the
-    executor just runs it and shapes the result.
+    The coordinator owns store consultation, the worker's per-function
+    checkpoint under the request's stable state dir, and SIGTERM
+    checkpointing; the executor just runs it and shapes the result.
     """
     from repro.parallel import (
         EnumerationRequest,
@@ -377,7 +377,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload, code = run_spec(spec)
     except KeyboardInterrupt:
         # SIGTERM during a parallel (jobs > 1) enumeration surfaces
-        # here after the coordinator checkpointed every job.
+        # here after the coordinator drained its workers, each of
+        # which checkpoints on the way out.
         payload, code = (
             {"interrupted": True, "checkpointed": True},
             EXIT_INTERRUPTED,

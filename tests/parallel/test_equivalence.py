@@ -1,10 +1,10 @@
 """Serial-vs-parallel equivalence: the subsystem's core contract.
 
-The merged space DAG of a parallel run must be *bit-identical* to the
-serial enumerator's — node ids, edges, dormant sets, counters, and the
-Table 4–6 interaction statistics derived from them — at every worker
-count, across lease recoveries, and across the serial↔parallel
-checkpoint boundary in both directions.
+The space DAG of a parallel run must be *bit-identical* to the serial
+enumerator's — node ids, edges, dormant sets, counters, and the Table
+4–6 interaction statistics derived from them — at every worker count,
+under node caps, across lease recoveries, and across the
+serial↔parallel checkpoint boundary in both directions.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
+from repro.robustness.faults import FaultInjector
 from repro.parallel import (
     EnumerationRequest,
     ParallelConfig,
@@ -24,7 +25,7 @@ from repro.parallel import (
     ProgressReporter,
     enumerate_space_parallel,
 )
-from tests.parallel.conftest import CASES, dag_snapshot
+from tests.parallel.conftest import CASES, bench_function, dag_snapshot
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
@@ -45,6 +46,16 @@ def test_bit_identical_at_every_worker_count(
         assert result.attempted_phases == serial.attempted_phases
         assert result.phases_applied == serial.phases_applied
         assert result.levels_completed == serial.levels_completed
+    # A node cap stops every worker exactly where the serial loop stops.
+    capped = bench_function("jpeg", "rgb_to_y")
+    config = EnumerationConfig(max_nodes=15)
+    serial = enumerate_space(capped, config)
+    (result,) = ParallelEnumerator(config, ParallelConfig(jobs=jobs)).enumerate(
+        [EnumerationRequest("jpeg.rgb_to_y", capped)]
+    )
+    assert not result.completed and result.abort_reason == "max_nodes"
+    assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)
+    assert result.attempted_phases == serial.attempted_phases
 
 
 def test_interaction_tables_match_serial(case_functions, serial_results):
@@ -76,16 +87,16 @@ def test_exact_mode_equivalence(case_functions):
 
 
 def test_killed_worker_lease_recovery(tmp_path, case_functions, serial_results):
-    """A worker dying mid-shard loses its lease, the shard is re-leased
-    to a respawned worker (resuming the shard checkpoint), and the
-    merged space is still bit-identical."""
+    """A worker dying mid-function loses its lease, the function is
+    re-run by a respawned worker (resuming its checkpoint), and the
+    space is still bit-identical."""
     events_path = tmp_path / "events.jsonl"
     reporter = ProgressReporter(jsonl_path=str(events_path))
     parallel = ParallelConfig(
         jobs=2,
         run_dir=str(tmp_path / "run"),
         lease_timeout=10.0,
-        shard_checkpoint_interval=0.0,  # checkpoint at every node
+        checkpoint_interval=0.0,  # checkpoint at every node
         chaos={"worker": 0, "after_nodes": 2, "kind": "exit"},
         progress=reporter,
     )
@@ -103,11 +114,12 @@ def test_killed_worker_lease_recovery(tmp_path, case_functions, serial_results):
     kinds = {event["event"] for event in events}
     assert "worker_dead" in kinds
     assert "lease_reclaim" in kinds
+    assert "shard_resumed" in kinds
 
 
 def test_hung_worker_lease_timeout(tmp_path, case_functions, serial_results):
     """A worker that stops heartbeating (hang, not crash) is terminated
-    once its lease expires and the shard completes elsewhere."""
+    once its lease expires and the function completes elsewhere."""
     events_path = tmp_path / "events.jsonl"
     reporter = ProgressReporter(jsonl_path=str(events_path))
     parallel = ParallelConfig(
@@ -131,7 +143,7 @@ def test_hung_worker_lease_timeout(tmp_path, case_functions, serial_results):
 
 
 def test_serial_resume_of_parallel_checkpoint(tmp_path, case_functions, serial_results):
-    """A parallel run aborted by budget leaves a PR-1-format level
+    """A parallel run aborted by budget leaves a serial-format
     checkpoint that the *serial* enumerator can resume to the full,
     bit-identical space."""
     func = case_functions[("sha", "rol")]
@@ -185,7 +197,7 @@ def test_parallel_resume_of_serial_checkpoint(tmp_path, case_functions, serial_r
 
 def test_completed_run_discards_run_dir_checkpoints(tmp_path, case_functions):
     parallel = ParallelConfig(
-        jobs=2, run_dir=str(tmp_path), shard_checkpoint_interval=0.0
+        jobs=2, run_dir=str(tmp_path), checkpoint_interval=0.0
     )
     result = enumerate_space_parallel(
         case_functions[("jpeg", "descale")], EnumerationConfig(), parallel
@@ -224,3 +236,44 @@ def test_difftest_guard_runs_in_workers(case_functions):
     assert result.completed
     assert len(result.quarantine.records) == 0
     assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)
+
+
+def test_sanitizer_counters_match_serial(case_functions):
+    """Workers return the serial EdgeChecker's own counters, so a
+    sanitized parallel run reports exactly the serial sanitize_stats."""
+    for case in (("sha", "rol"), ("jpeg", "descale")):
+        func = case_functions[case]
+        serial = enumerate_space(func, EnumerationConfig(sanitize="fast"))
+        parallel = enumerate_space_parallel(
+            func, EnumerationConfig(sanitize="fast"), ParallelConfig(jobs=2)
+        )
+        assert serial.sanitize_stats["edges"] > 0
+        assert parallel.sanitize_stats == serial.sanitize_stats, case
+        assert dag_snapshot(parallel.dag) == dag_snapshot(serial.dag)
+
+
+def test_fault_stream_survives_worker_loss(tmp_path, case_functions):
+    """A function re-run after its worker died continues from its
+    checkpoint with the same fault stream: the DAG and the quarantine
+    records equal those of the same run without the kill."""
+    func = case_functions[("sha", "rol")]
+
+    def run(name, chaos):
+        config = EnumerationConfig(
+            validate=True, fault_injector=FaultInjector(seed=3, rate=0.05)
+        )
+        parallel = ParallelConfig(
+            jobs=2,
+            run_dir=str(tmp_path / name),
+            checkpoint_interval=0.0,
+            chaos=chaos,
+        )
+        return enumerate_space_parallel(func, config, parallel)
+
+    clean = run("clean", None)
+    killed = run("killed", {"worker": 0, "after_nodes": 40, "kind": "exit"})
+    assert clean.quarantine.records, "the fault rate should quarantine some edges"
+    assert killed.completed and clean.completed
+    assert dag_snapshot(killed.dag) == dag_snapshot(clean.dag)
+    assert killed.quarantine.to_dicts() == clean.quarantine.to_dicts()
+    assert killed.attempted_phases == clean.attempted_phases

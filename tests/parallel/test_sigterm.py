@@ -2,9 +2,9 @@
 
 The coordinator installs a SIGTERM handler for the duration of the
 pool drive: an orchestrator shutdown takes the exact KeyboardInterrupt
-path — every in-flight function job writes a level checkpoint in the
-PR-1 serial format, the pool is torn down (hung workers included), and
-a later *serial* resume completes to a bit-identical DAG.
+path — every in-flight worker is asked to stop and checkpoint, the
+pool is torn down (hung workers included), and a later *serial* resume
+of the function's checkpoint completes to a bit-identical DAG.
 """
 
 import os
@@ -43,8 +43,9 @@ enumerator = ParallelEnumerator(
         jobs=1,
         run_dir=run_dir,
         lease_timeout=300.0,
-        # The lone worker wedges after 10 node expansions, so the run
-        # is reliably in flight (never finished) when SIGTERM lands.
+        # The lone worker checkpoints and wedges after 10 node
+        # expansions, so the run is reliably in flight (never
+        # finished) when SIGTERM lands.
         chaos={"worker": 0, "after_nodes": 10, "kind": "hang"},
     ),
 )
@@ -56,16 +57,13 @@ sys.exit(0)
 """
 
 
-def _wait_for_journal(path: str, needles, timeout: float = 60.0) -> None:
+def _wait_for(path: str, timeout: float = 60.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as stream:
-                for line in stream:
-                    if all(needle in line for needle in needles):
-                        return
+            return
         time.sleep(0.05)
-    raise AssertionError(f"journal never showed {needles}")
+    raise AssertionError(f"{path} never appeared")
 
 
 def test_sigterm_checkpoints_and_serial_resume_is_bit_identical(tmp_path):
@@ -77,13 +75,11 @@ def test_sigterm_checkpoints_and_serial_resume_is_bit_identical(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
+    checkpoint = os.path.join(run_dir, "rol.ckpt.json")
     try:
-        # Progress has merged through level 1 once level 2 is planned,
-        # so the forced checkpoint will carry real partial state.
-        _wait_for_journal(
-            os.path.join(run_dir, "events.jsonl"),
-            ['"event": "level_start"', '"level": 2'],
-        )
+        # The worker's checkpoint (written atomically, after 10 node
+        # expansions) carries real partial state.
+        _wait_for(checkpoint)
         proc.send_signal(signal.SIGTERM)
         stdout, stderr = proc.communicate(timeout=30)
     finally:
@@ -96,8 +92,7 @@ def test_sigterm_checkpoints_and_serial_resume_is_bit_identical(tmp_path):
         stderr.decode(),
     )
 
-    checkpoint = os.path.join(run_dir, "rol.ckpt.json")
-    assert os.path.exists(checkpoint), "drain did not write a level checkpoint"
+    assert os.path.exists(checkpoint), "drain lost the worker's checkpoint"
 
     func = bench_function("sha", "rol")
     reference = enumerate_space(func, EnumerationConfig())
