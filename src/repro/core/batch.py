@@ -16,7 +16,30 @@ from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
 from repro.opt import PHASES, Phase, apply_phase, phase_by_id
+from repro.opt.base import _copy_into
 from repro.robustness.guard import GuardedPhaseRunner
+
+
+def apply_in_place(
+    func: Function,
+    phase: Phase,
+    target: Target,
+    guard: Optional[GuardedPhaseRunner] = None,
+) -> bool:
+    """Apply *phase* to *func* in place; returns whether it was active.
+
+    Through *guard* the phase is attempted on a clone, and only an
+    accepted candidate is copied back, so a rejected application leaves
+    *func* as it was.
+    """
+    if guard is None:
+        return apply_phase(func, phase, target)
+    candidate = guard.apply(func, phase, target)
+    if candidate is None:
+        return False
+    _copy_into(candidate, func)
+    return True
+
 
 #: phases applied once before the fixpoint loop: control-flow cleanup,
 #: evaluation order determination (must precede register assignment),
@@ -111,9 +134,9 @@ class BatchCompiler:
         self.guard = guard
 
     def _apply(self, func: Function, phase_id: str) -> bool:
-        if self.guard is not None:
-            return self.guard.apply(func, phase_by_id(phase_id), self.target)
-        return apply_phase(func, phase_by_id(phase_id), self.target)
+        return apply_in_place(
+            func, phase_by_id(phase_id), self.target, self.guard
+        )
 
     def compile(self, func: Function) -> CompilationReport:
         """Optimize *func* in place with the default phase order."""

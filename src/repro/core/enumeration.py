@@ -96,13 +96,11 @@ class EnumerationConfig:
         validate: bool = False,
         difftest: bool = False,
         program: Optional[Program] = None,
-        input_vectors: Optional[Sequence[Sequence[int]]] = None,
         phase_timeout: Optional[float] = None,
         fault_injector: Optional[FaultInjector] = None,
         checkpoint_path: Optional[str] = None,
         checkpoint_interval: Optional[float] = 30.0,
         resume: bool = False,
-        canonical_input: bool = False,
         memo: Optional[TransitionMemo] = None,
         sanitize: Optional[str] = None,
         engine: str = "flat",
@@ -136,9 +134,6 @@ class EnumerationConfig:
         #: differential-test candidates in the VM against *program*
         self.difftest = difftest
         self.program = program
-        #: argument vectors for the differential test (defaults to
-        #: small deterministic vectors derived from the function arity)
-        self.input_vectors = input_vectors
         #: per-phase wall-clock watchdog (SIGALRM, main thread only)
         self.phase_timeout = phase_timeout
         #: deterministic sabotage of phase applications (tests/chaos)
@@ -149,12 +144,6 @@ class EnumerationConfig:
         self.checkpoint_interval = checkpoint_interval
         #: continue from ``checkpoint_path`` when it exists
         self.resume = resume
-        #: the input function is already the canonical root instance
-        #: (implicit cleanup applied — e.g. round-tripped from a
-        #: checkpoint or a shard spec); skips the redundant cleanup
-        #: pass on the root and on the resume probe, which matters when
-        #: many small enumerations are spawned from serialized inputs
-        self.canonical_input = canonical_input
         #: opt-in phase-transition memo table (see repro.core.memo).
         #: Shared across enumerations: memo keys are content-based
         #: node keys, so hits are sound across functions and runs.
@@ -521,11 +510,10 @@ class SpaceEnumerator:
             return None
         difftester = None
         if config.difftest and config.program is not None:
-            vectors = config.input_vectors
-            if vectors is None:
-                vectors = default_vectors(self.input_func)
             difftester = DifferentialTester(
-                config.program, self.input_func.name, vectors
+                config.program,
+                self.input_func.name,
+                default_vectors(self.input_func),
             )
         sanitizer = None
         if config.sanitize is not None:
@@ -549,8 +537,7 @@ class SpaceEnumerator:
     def _initialize(self) -> None:
         config = self.config
         root_func = self.input_func.clone()
-        if not config.canonical_input:
-            implicit_cleanup(root_func)  # canonical root instance
+        implicit_cleanup(root_func)  # canonical root instance
         self.root_func = root_func
         self.dag = SpaceDAG(self.input_func.name)
         self.texts: Dict[object, str] = {}
@@ -616,8 +603,7 @@ class SpaceEnumerator:
         # from: its canonical root instance must fingerprint to the
         # checkpointed root key.
         probe = self.input_func.clone()
-        if not config.canonical_input:
-            implicit_cleanup(probe)
+        implicit_cleanup(probe)
         probe_fp = fingerprint_function(probe, remap=config.remap)
         if _node_key(probe_fp, probe) != self.dag.root.key:
             raise ckpt.CheckpointError(
@@ -769,10 +755,6 @@ class SpaceEnumerator:
             self.attempted = attempted_before
             self.applied = applied_before
 
-        def collapse_target(candidate_func: Function):
-            """(digest, representative-or-None) for a fresh instance."""
-            return self.collapser.merge_target(self.dag, node, candidate_func)
-
         def alias_guarded(key, existing):
             """Veto a syntactic hit that resolved through an alias onto
             this node's own root path: the edge would close a cycle.
@@ -815,6 +797,7 @@ class SpaceEnumerator:
                 rollback()
                 return False
             self.attempted += 1
+            self.applied += 1
             entry = (
                 self.memo.lookup(node.key, phase.id)
                 if self.memo is not None
@@ -824,85 +807,46 @@ class SpaceEnumerator:
                 # Memo fast path: the transition outcome is a recorded
                 # content-keyed fact — skip clone + apply + fingerprint.
                 # Counters advance exactly as the cold path would.
-                self.applied += 1
-                if tracer is not None:
-                    tracer.phase_outcome(
-                        phase.id, "dormant" if entry.dormant else "active"
-                    )
-                if entry.dormant:
-                    node.dormant.add(phase.id)
-                    continue
-                key = entry.key
-                existing = alias_guarded(key, self.dag.lookup(key))
-                if existing is not None:
-                    self.dag.add_edge(node, phase.id, existing)
-                    added_edges.append((node, phase.id, existing))
-                    continue
-                materialized = TransitionMemo.materialize(entry)
-                digest = None
-                if self.collapser is not None:
-                    # Warm memo runs start with an empty alias table,
-                    # so the fast path must make its own merge decision
-                    # — in the same order the cold path would.
-                    digest, rep = collapse_target(materialized)
-                    if rep is not None:
-                        merge(key, phase.id, rep, None)
-                        continue
-                child = self.dag.add_node(
-                    key, self.level + 1, entry.num_insts, entry.cf_crc
-                )
-                child.function = (
-                    to_flat(materialized) if self.flat_engine else materialized
-                )
-                if self.collapser is not None and self.collapser.register(
-                    digest, child.node_id, materialized
-                ):
-                    added_digests.append((digest, child.node_id))
-                self.recipes[child.node_id] = self.recipes[node.node_id] + (
-                    phase.id,
-                )
-                self.dag.add_edge(node, phase.id, child)
-                added_nodes.append(child)
-                added_edges.append((node, phase.id, child))
-                self.next_frontier.append(child)
-                continue
-            if config.share_prefixes:
-                self.applied += 1
-                if self.guard is None:
-                    # Single-clone fast path (see opt/base.py and
-                    # opt/flat): at most one clone per attempted edge,
-                    # none when the phase is illegal in the current
-                    # state.
-                    if self.flat_engine:
-                        candidate = attempt_phase_on_flat(
-                            node.function, phase, self.target, view_cache
-                        )
-                    else:
-                        candidate = attempt_phase_on_clone(
-                            node.function, phase, self.target
-                        )
-                    active = candidate is not None
-                else:
-                    candidate = node.function.clone()
-                    active = self._apply(candidate, phase, node)
-                    if tracer is not None:
-                        tracer.phase_outcome(
-                            phase.id, "active" if active else "dormant"
-                        )
+                candidate = None
+                dormant = entry.dormant
             else:
-                candidate = self.root_func.clone()
-                for prior_id in self.recipes[node.node_id]:
-                    self.applied += 1
-                    apply_phase(
-                        candidate, config.phase_index[prior_id], self.target
+                if config.share_prefixes:
+                    parent = node.function
+                else:
+                    # Figure 6 baseline: rebuild the prefix from the
+                    # unoptimized function instead of reusing it.
+                    parent = self.root_func.clone()
+                    for prior_id in self.recipes[node.node_id]:
+                        self.applied += 1
+                        apply_phase(
+                            parent, config.phase_index[prior_id], self.target
+                        )
+                # One transition call per attempt, each making at most
+                # one clone and none for an illegal phase (see
+                # opt/base.py); the guard vets its candidate before
+                # returning it.
+                if self.guard is not None:
+                    candidate = self.guard.apply(
+                        parent,
+                        phase,
+                        self.target,
+                        node_key=f"node#{node.node_id}",
+                        level=node.level,
                     )
-                self.applied += 1
-                active = self._apply(candidate, phase, node)
-                if tracer is not None:
-                    tracer.phase_outcome(
-                        phase.id, "active" if active else "dormant"
+                elif self.flat_engine:
+                    candidate = attempt_phase_on_flat(
+                        parent, phase, self.target, view_cache
                     )
-            if not active:
+                else:
+                    candidate = attempt_phase_on_clone(
+                        parent, phase, self.target
+                    )
+                dormant = candidate is None
+            if tracer is not None:
+                tracer.phase_outcome(
+                    phase.id, "dormant" if dormant else "active"
+                )
+            if dormant:
                 if entry is not None and not entry.dormant:
                     raise RuntimeError(
                         f"{self.input_func.name}: memo claims phase "
@@ -914,31 +858,40 @@ class SpaceEnumerator:
                     self.memo.record_dormant(node.key, phase.id)
                 node.dormant.add(phase.id)
                 continue
-            if self.flat_engine:
-                fingerprint = flat_fingerprint(candidate)
+            if candidate is None:
+                # An active memo hit: the entry carries the child's key.
+                key, num_insts, cf_crc, text = (
+                    entry.key, entry.num_insts, entry.cf_crc, None
+                )
             else:
-                fingerprint = fingerprint_function(
-                    candidate, keep_text=config.exact, remap=config.remap
-                )
-            key = _node_key(fingerprint, candidate)
-            if entry is not None and (entry.dormant or entry.key != key):
-                raise RuntimeError(
-                    f"{self.input_func.name}: memo entry for phase "
-                    f"{phase.id} on node#{node.node_id} diverges from the "
-                    "real application (exact-mode memo verification)"
-                )
-            if self.memo is not None and entry is None:
-                self.memo.record_active(
-                    node.key,
-                    phase.id,
-                    key,
-                    fingerprint.num_insts,
-                    fingerprint.cf_crc,
-                    from_flat(candidate) if self.flat_engine else candidate,
-                )
+                if self.flat_engine:
+                    fingerprint = flat_fingerprint(candidate)
+                else:
+                    fingerprint = fingerprint_function(
+                        candidate, keep_text=config.exact, remap=config.remap
+                    )
+                key = _node_key(fingerprint, candidate)
+                if entry is not None and (entry.dormant or entry.key != key):
+                    raise RuntimeError(
+                        f"{self.input_func.name}: memo entry for phase "
+                        f"{phase.id} on node#{node.node_id} diverges from the "
+                        "real application (exact-mode memo verification)"
+                    )
+                if self.memo is not None and entry is None:
+                    self.memo.record_active(
+                        node.key,
+                        phase.id,
+                        key,
+                        fingerprint.num_insts,
+                        fingerprint.cf_crc,
+                        from_flat(candidate) if self.flat_engine else candidate,
+                    )
+                num_insts = fingerprint.num_insts
+                cf_crc = fingerprint.cf_crc
+                text = fingerprint.text
             existing = self.dag.lookup(key)
             if existing is not None:
-                if config.exact and self.texts.get(key) != fingerprint.text:
+                if config.exact and self.texts.get(key) != text:
                     raise RuntimeError(
                         f"fingerprint collision in {self.input_func.name}: two "
                         "distinct instances share (count, byte-sum, CRC)"
@@ -948,26 +901,33 @@ class SpaceEnumerator:
                 self.dag.add_edge(node, phase.id, existing)
                 added_edges.append((node, phase.id, existing))
                 continue
+            # A new instance.  ``view`` is its object form, which the
+            # collapser reads; a memo hit materializes it only now.
+            if candidate is None:
+                view = TransitionMemo.materialize(entry)
+            elif self.flat_engine and self.collapser is not None:
+                view = from_flat(candidate)
+            else:
+                view = candidate
             digest = None
-            candidate_obj = None
             if self.collapser is not None:
-                candidate_obj = (
-                    from_flat(candidate) if self.flat_engine else candidate
-                )
-                digest, rep = collapse_target(candidate_obj)
+                # Warm memo runs start with an empty alias table, so a
+                # memo hit makes its own merge decision here too — in
+                # the same order the cold path would.
+                digest, rep = self.collapser.merge_target(self.dag, node, view)
                 if rep is not None:
-                    merge(key, phase.id, rep, fingerprint.text)
+                    merge(key, phase.id, rep, text)
                     continue
-            child = self.dag.add_node(
-                key, self.level + 1, fingerprint.num_insts, fingerprint.cf_crc
-            )
+            child = self.dag.add_node(key, self.level + 1, num_insts, cf_crc)
+            if candidate is None:
+                candidate = to_flat(view) if self.flat_engine else view
             child.function = candidate
             if self.collapser is not None and self.collapser.register(
-                digest, child.node_id, candidate_obj
+                digest, child.node_id, view
             ):
                 added_digests.append((digest, child.node_id))
             if config.exact:
-                self.texts[key] = fingerprint.text
+                self.texts[key] = text
             self.recipes[child.node_id] = self.recipes[node.node_id] + (phase.id,)
             self.dag.add_edge(node, phase.id, child)
             added_nodes.append(child)
@@ -977,17 +937,6 @@ class SpaceEnumerator:
         if not config.keep_functions:
             node.function = None
         return True
-
-    def _apply(self, candidate: Function, phase: Phase, node: SpaceNode) -> bool:
-        if self.guard is not None:
-            return self.guard.apply(
-                candidate,
-                phase,
-                self.target,
-                node_key=f"node#{node.node_id}",
-                level=node.level,
-            )
-        return apply_phase(candidate, phase, self.target)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -1112,7 +1061,3 @@ def _node_key(fingerprint: Fingerprint, func: Function):
 def _arrival_phases(node: SpaceNode) -> set:
     """Phases that produced this node (labels of its in-edges)."""
     return {phase_id for (_parent, phase_id) in node.parents}
-
-
-def _phase_by_id(config: EnumerationConfig, phase_id: str) -> Phase:
-    return config.phase_index[phase_id]

@@ -22,13 +22,12 @@ running CRCs and byte-sum as it is produced, never materializing the
 joined text.  The stream is chunked with the same ``"\\n"`` separators
 ``"\\n".join(lines)`` would insert, so the result is bit-identical to
 the legacy render-then-hash pipeline (kept below as the oracle for the
-property tests, for exact mode — which needs the text anyway — and for
-the hot-path bench's legacy measurements via ``set_legacy_mode``).
+property tests, and for exact mode and the remapping ablation, which
+need the rendered text anyway).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, NamedTuple, Optional
 
 from repro.core.crc import crc32
@@ -205,20 +204,6 @@ def _streaming_fingerprint(func: Function) -> Fingerprint:
     )
 
 
-_LEGACY = bool(os.environ.get("REPRO_LEGACY_FINGERPRINT"))
-
-
-def set_legacy_mode(enabled: bool) -> bool:
-    """Force the render-then-hash pipeline (bench/test toggle).
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _LEGACY
-    previous = _LEGACY
-    _LEGACY = enabled
-    return previous
-
-
 def _legacy_fingerprint(
     func: Function, keep_text: bool, remap: bool
 ) -> Fingerprint:
@@ -245,6 +230,6 @@ def fingerprint_function(
     (``keep_text=True``) needs the materialized text for collision
     checks, so it takes the legacy path; everything else streams.
     """
-    if keep_text or not remap or _LEGACY:
+    if keep_text or not remap:
         return _legacy_fingerprint(func, keep_text, remap)
     return _streaming_fingerprint(func)

@@ -18,12 +18,12 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.batch import CompilationReport
+from repro.core.batch import CompilationReport, apply_in_place
 from repro.core.interactions import InteractionAnalysis
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
-from repro.opt import PHASE_IDS, apply_phase, phase_by_id
+from repro.opt import PHASE_IDS, phase_by_id
 from repro.robustness.guard import GuardedPhaseRunner
 
 
@@ -85,13 +85,8 @@ class ProbabilisticCompiler:
             if probability[best] <= self.threshold:
                 break
             attempted += 1
-            if self.guard is not None:
-                was_active = self.guard.apply(
-                    func, phase_by_id(best), self.target
-                )
-            else:
-                was_active = apply_phase(func, phase_by_id(best), self.target)
-            if was_active:
+            phase = phase_by_id(best)
+            if apply_in_place(func, phase, self.target, self.guard):
                 active_sequence.append(best)
                 for pid in phase_ids:
                     if pid == best:

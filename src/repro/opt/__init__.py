@@ -26,7 +26,6 @@ from repro.opt.base import (
     Phase,
     apply_phase,
     attempt_phase_on_clone,
-    set_legacy_clone_mode,
 )
 from repro.opt.cleanup import implicit_cleanup
 from repro.opt.register_assignment import assign_registers
@@ -80,7 +79,6 @@ __all__ = [
     "Phase",
     "apply_phase",
     "attempt_phase_on_clone",
-    "set_legacy_clone_mode",
     "implicit_cleanup",
     "assign_registers",
     "PHASES",

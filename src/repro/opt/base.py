@@ -20,12 +20,12 @@ original must apply phases to a clone, as the enumerator does).
 Cloning invariant (the enumeration hot path)
 --------------------------------------------
 
-``apply_phase`` mutates its argument in place, so enumeration callers
-historically cloned the parent *and* — for phases requiring the
-compulsory register assignment — ``apply_phase`` cloned a scratch copy
-again and copied it back, i.e. two deep clones per attempted edge.
-:func:`attempt_phase_on_clone` collapses this to **at most one clone
-per attempt, and none for a trivially-dormant phase**:
+``apply_phase`` mutates its argument in place, which suits the
+compilers that optimize one function along one sequence.  Every caller
+that must keep the parent — the enumerator, the guarded runner, DAG
+materialization — goes through :func:`attempt_phase_on_clone`
+instead, which makes **at most one clone per attempt, and none for a
+trivially-dormant phase**:
 
 - legality (``phase.applicable``) is checked *before* cloning, so an
   illegal phase costs nothing;
@@ -39,19 +39,18 @@ per attempt, and none for a trivially-dormant phase**:
   and legality-flag update, exactly as ``apply_phase`` would have left
   it.
 
-``set_legacy_clone_mode(True)`` (or ``REPRO_LEGACY_CLONE=1``) restores
-the old clone-then-``apply_phase`` flow so the hot-path bench can
-measure what the double clone cost.
+:class:`~repro.robustness.guard.GuardedPhaseRunner` runs its checks on
+that same candidate, so a guarded attempt clones no more than an
+unguarded one.  Outcomes (active/dormant) are counted by the caller,
+once per attempt.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from repro.ir.function import Function
 from repro.machine.target import DEFAULT_TARGET, Target
-from repro.observability import tracer as _obs
 
 
 class Phase:
@@ -119,20 +118,6 @@ def apply_phase(func: Function, phase: Phase, target: Optional[Target] = None) -
     return changed
 
 
-_LEGACY_CLONE = bool(os.environ.get("REPRO_LEGACY_CLONE"))
-
-
-def set_legacy_clone_mode(enabled: bool) -> bool:
-    """Restore the clone + apply_phase double-clone flow (bench toggle).
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _LEGACY_CLONE
-    previous = _LEGACY_CLONE
-    _LEGACY_CLONE = enabled
-    return previous
-
-
 def attempt_phase_on_clone(
     func: Function, phase: Phase, target: Optional[Target] = None
 ) -> Optional[Function]:
@@ -146,24 +131,16 @@ def attempt_phase_on_clone(
 
     if target is None:
         target = DEFAULT_TARGET
-    if _LEGACY_CLONE:
-        candidate = func.clone()
-        active = apply_phase(candidate, phase, target)
-        _note_outcome(phase, active)
-        return candidate if active else None
     if not phase.applicable(func):
-        _note_outcome(phase, False)
         return None
     candidate = func.clone()
     if phase.requires_assignment and not candidate.reg_assigned:
         assign_registers(candidate, target)
         candidate.reg_assigned = True
     if not phase.run(candidate, target):
-        _note_outcome(phase, False)
         return None
     _cleanup_fixpoint(candidate, phase, target)
     _note_active(candidate, phase)
-    _note_outcome(phase, True)
     return candidate
 
 
@@ -186,17 +163,6 @@ def _cleanup_fixpoint(func: Function, phase: Phase, target: Target) -> None:
     raise RuntimeError(
         f"{func.name}: phase {phase.id} did not reach a fixpoint with cleanup"
     )
-
-
-def _note_outcome(phase: Phase, active: bool) -> None:
-    """Count this attempt's outcome on the active tracer, if any.
-
-    Observational only — never touches the function or the phase, so
-    traced and untraced runs stay bit-identical.
-    """
-    tr = _obs.ACTIVE
-    if tr is not None:
-        tr.phase_outcome(phase.id, "active" if active else "dormant")
 
 
 def _note_active(func: Function, phase: Phase) -> None:

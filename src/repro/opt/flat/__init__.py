@@ -24,7 +24,6 @@ from typing import Dict, Optional
 from repro.analysis.flat import flat_loops_of
 from repro.ir.flat import FlatFunction, from_flat, to_flat
 from repro.machine.target import DEFAULT_TARGET, Target
-from repro.observability import tracer as _obs
 from repro.opt.base import Phase, attempt_phase_on_clone
 from repro.opt.flat.abstraction import CodeAbstractionKernel
 from repro.opt.flat.assign import flat_assign_registers
@@ -66,12 +65,6 @@ FLAT_KERNELS: Dict[str, FlatKernel] = {
 }
 
 
-def _note_outcome(phase_id: str, active: bool) -> None:
-    tr = _obs.ACTIVE
-    if tr is not None:
-        tr.phase_outcome(phase_id, "active" if active else "dormant")
-
-
 def flat_cleanup_fixpoint(
     flat: FlatFunction, kernel: FlatKernel, target: Target
 ) -> None:
@@ -106,14 +99,12 @@ def attempt_phase_on_flat(
         # The fallback phases gate on legality flags only, which
         # FlatFunction carries — check before paying the conversion.
         if not phase.applicable(flat):
-            _note_outcome(phase.id, False)
             return None
         # Both fallback phases (g, l) restructure natural loops; on a
         # loop-free function they are dormant without ever mutating, so
         # the (content-cached) flat loop analysis settles the verdict
         # before any object-IR view is materialized.
         if phase.id in ("g", "l") and not flat_loops_of(flat):
-            _note_outcome(phase.id, False)
             return None
         func = view_cache.get("view") if view_cache is not None else None
         if func is None:
@@ -124,21 +115,18 @@ def attempt_phase_on_flat(
         return None if candidate is None else to_flat(candidate)
 
     if not kernel.applicable(flat):
-        _note_outcome(phase.id, False)
         return None
     candidate = flat.clone()
     if kernel.requires_assignment and not candidate.reg_assigned:
         flat_assign_registers(candidate, target)
         candidate.reg_assigned = True
     if not kernel.run(candidate, target):
-        _note_outcome(phase.id, False)
         return None
     flat_cleanup_fixpoint(candidate, kernel, target)
     if phase.id == "s":
         candidate.sel_applied = True
     elif phase.id == "k":
         candidate.alloc_applied = True
-    _note_outcome(phase.id, True)
     return candidate
 
 

@@ -57,7 +57,7 @@ from repro.robustness.retry import RetryBudget
 #: per function on the worker side (see ``worker._config``)
 _SETTINGS = (
     "max_level_sequences max_nodes max_levels time_limit exact remap "
-    "validate difftest phase_timeout canonical_input sanitize engine collapse"
+    "validate difftest phase_timeout sanitize engine collapse"
 ).split()
 
 
@@ -142,8 +142,7 @@ class _FunctionJob:
         self.request = request
         self.function_name = request.function.name
         root = request.function.clone()
-        if not config.canonical_input:
-            implicit_cleanup(root)
+        implicit_cleanup(root)
         self.root_fingerprint = fingerprint_function(
             root, keep_text=config.exact, remap=config.remap
         )
@@ -261,11 +260,6 @@ class ParallelEnumerator:
             raise ValueError(
                 "use ParallelConfig(run_dir=..., resume=...) instead of "
                 "EnumerationConfig checkpointing for parallel runs"
-            )
-        if config.input_vectors is not None:
-            raise ValueError(
-                "custom difftest input vectors are not supported in "
-                "parallel runs (workers derive the default vectors)"
             )
         if config.target is not DEFAULT_TARGET:
             raise ValueError("parallel workers only support the default target")

@@ -1,11 +1,12 @@
 """The guarded phase application hot path.
 
-:class:`GuardedPhaseRunner` wraps :func:`repro.opt.apply_phase` with a
-set of runtime defenses so one buggy (or sabotaged) phase application
-cannot abort a long enumeration or poison the space DAG:
+:class:`GuardedPhaseRunner` wraps
+:func:`repro.opt.attempt_phase_on_clone` with a set of runtime defenses
+so one buggy (or sabotaged) phase application cannot abort a long
+enumeration or poison the space DAG:
 
-1. **Exception containment** — a phase that raises is caught, the
-   pre-phase instance is restored, and the attempt is recorded.
+1. **Exception containment** — a phase that raises is caught, its
+   candidate discarded, and the attempt recorded.
 2. **IR validation** — the output of an active phase must pass
    :func:`repro.ir.validate.validate_ir` (structure, machine legality,
    register discipline, frame consistency).
@@ -18,7 +19,8 @@ cannot abort a long enumeration or poison the space DAG:
    phase that runs past ``phase_timeout`` seconds (main thread only;
    elsewhere the watchdog degrades to no timeout).
 
-On any failure the runner restores the instance, appends a
+Every check runs on the candidate clone; the input instance is never
+mutated.  On any failure the runner discards the candidate, appends a
 :class:`~repro.robustness.quarantine.QuarantineRecord`, and reports the
 phase as dormant, so the caller — enumerator or compiler — simply
 continues.  A seeded :class:`~repro.robustness.faults.FaultInjector`
@@ -37,7 +39,7 @@ from repro.ir.function import Function, Program
 from repro.ir.validate import IRValidationError, validate_ir
 from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
-from repro.opt import Phase, apply_phase
+from repro.opt import Phase, attempt_phase_on_clone
 from repro.robustness.faults import FaultInjector, InjectedFault
 from repro.robustness.quarantine import QuarantineLog, QuarantineRecord
 from repro.vm import Interpreter, VMError
@@ -80,20 +82,6 @@ def _phase_alarm(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def restore_function(dest: Function, snapshot: Function) -> None:
-    """Overwrite *dest* in place with *snapshot*'s state."""
-    dest.blocks = snapshot.blocks
-    dest.params = snapshot.params
-    dest.frame = snapshot.frame
-    dest.frame_size = snapshot.frame_size
-    dest.next_pseudo = snapshot.next_pseudo
-    dest.next_label = snapshot.next_label
-    dest.reg_assigned = snapshot.reg_assigned
-    dest.sel_applied = snapshot.sel_applied
-    dest.alloc_applied = snapshot.alloc_applied
-    dest.unrolled = snapshot.unrolled
 
 
 def default_vectors(func: Function) -> Tuple[Tuple[int, ...], ...]:
@@ -178,10 +166,11 @@ class DifferentialTester:
 class GuardedPhaseRunner:
     """Apply phases through the full guard stack.
 
-    Drop-in for :func:`repro.opt.apply_phase`: ``runner.apply(func,
-    phase, target)`` mutates *func* on success and returns whether the
-    phase was active; on any guard failure *func* is restored and the
-    attempt reads as dormant.
+    Drop-in for :func:`repro.opt.attempt_phase_on_clone`:
+    ``runner.apply(func, phase, target)`` returns the accepted candidate
+    (a clone of *func* with the phase applied), or ``None`` when the
+    phase was dormant or any guard rejected it.  *func* is never
+    mutated, and at most one clone is made — none for an illegal phase.
     """
 
     def __init__(
@@ -216,10 +205,9 @@ class GuardedPhaseRunner:
         target: Optional[Target] = None,
         node_key: Optional[str] = None,
         level: Optional[int] = None,
-    ) -> bool:
+    ) -> Optional[Function]:
         target = target or self.target
         self.guarded_applications += 1
-        snapshot = func.clone()
         injected = (
             self.fault_injector is not None
             and self.fault_injector.should_inject()
@@ -237,28 +225,24 @@ class GuardedPhaseRunner:
         try:
             with _phase_alarm(self.phase_timeout):
                 if injected:
-                    # Sabotage instead of the real application: either
-                    # raises, hangs into the alarm, or corrupts in
-                    # place (and the validation below must catch it).
+                    # Sabotage a clone instead of the real application:
+                    # either raises, hangs into the alarm, or corrupts
+                    # it (and the validation below must catch it).
+                    candidate = func.clone()
                     self.fault_injector.sabotage(
-                        func, phase.id, self.phase_timeout
+                        candidate, phase.id, self.phase_timeout
                     )
-                    active = True
                 else:
-                    active = apply_phase(func, phase, target)
+                    candidate = attempt_phase_on_clone(func, phase, target)
         except PhaseTimeout as error:
-            restore_function(func, snapshot)
             self._record(phase, "timeout", str(error), node_key, level)
-            return False
+            return None
         except InjectedFault as error:
-            restore_function(func, snapshot)
             self._record(phase, "exception", str(error), node_key, level)
-            return False
+            return None
         except (KeyboardInterrupt, SystemExit, MemoryError):
-            restore_function(func, snapshot)
             raise
         except Exception as error:
-            restore_function(func, snapshot)
             self._record(
                 phase,
                 "exception",
@@ -266,12 +250,12 @@ class GuardedPhaseRunner:
                 node_key,
                 level,
             )
-            return False
+            return None
 
         # Cooperative deadline: where the SIGALRM watchdog could not be
         # armed (worker threads; platforms without SIGALRM) the phase
         # ran to completion unsupervised, so enforce the budget after
-        # the fact — the instance is restored and the attempt
+        # the fact — the candidate is discarded and the attempt
         # quarantined exactly as a preempted one would be.  This cannot
         # unstick a truly hung phase (nothing cooperative can), but it
         # keeps the timeout *policy* identical on and off the main
@@ -281,7 +265,6 @@ class GuardedPhaseRunner:
             and not _alarm_available()
             and time.monotonic() - started > self.phase_timeout
         ):
-            restore_function(func, snapshot)
             self._record(
                 phase,
                 "timeout",
@@ -290,59 +273,66 @@ class GuardedPhaseRunner:
                 node_key,
                 level,
             )
-            return False
+            return None
 
-        if not active:
-            return False
+        if candidate is None:
+            return None
 
         # An injected corruption must never survive even with
         # validation switched off — the injection harness depends on
         # the validator catching it.
         if self.validate or injected:
             try:
-                validate_ir(func, target)
+                validate_ir(candidate, target)
             except IRValidationError as error:
-                diff = self._excerpt(snapshot, func)
-                restore_function(func, snapshot)
                 self._record(
-                    phase, "validation", str(error), node_key, level, diff
+                    phase,
+                    "validation",
+                    str(error),
+                    node_key,
+                    level,
+                    self._excerpt(func, candidate),
                 )
-                return False
+                return None
 
         if self.sanitizer is not None:
-            failure = None
             try:
-                failure = self.sanitizer.check_edge(snapshot, func, phase)
+                failure = self.sanitizer.check_edge(func, candidate, phase)
             except (KeyboardInterrupt, SystemExit, MemoryError):
-                restore_function(func, snapshot)
                 raise
             except Exception as error:  # checker bug — still contain
                 failure = ("sanitizer", f"static checker crashed: {error}")
             if failure is not None:
                 kind, detail = failure
-                diff = self._excerpt(snapshot, func)
-                restore_function(func, snapshot)
-                self._record(phase, kind, detail, node_key, level, diff)
-                return False
+                self._record(
+                    phase,
+                    kind,
+                    detail,
+                    node_key,
+                    level,
+                    self._excerpt(func, candidate),
+                )
+                return None
 
-        if self.difftest is not None and func.name == self.difftest.entry:
-            mismatch = None
+        if self.difftest is not None and candidate.name == self.difftest.entry:
             try:
-                mismatch = self.difftest.check(func)
+                mismatch = self.difftest.check(candidate)
             except (KeyboardInterrupt, SystemExit, MemoryError):
-                restore_function(func, snapshot)
                 raise
             except Exception as error:  # interpreter bug — still contain
                 mismatch = f"differential test crashed: {error}"
             if mismatch is not None:
-                diff = self._excerpt(snapshot, func)
-                restore_function(func, snapshot)
                 self._record(
-                    phase, "semantics", mismatch, node_key, level, diff
+                    phase,
+                    "semantics",
+                    mismatch,
+                    node_key,
+                    level,
+                    self._excerpt(func, candidate),
                 )
-                return False
+                return None
 
-        return True
+        return candidate
 
     # ------------------------------------------------------------------
 

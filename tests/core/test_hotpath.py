@@ -20,16 +20,16 @@ from hypothesis import given, strategies as st
 from repro.core import crc as crc_mod
 from repro.core.crc import crc32, crc32_reference
 from repro.core.enumeration import EnumerationConfig, enumerate_space
-from repro.core.fingerprint import fingerprint_function, set_legacy_mode
+from repro.core import fingerprint as fp_mod
+from repro.core.fingerprint import fingerprint_function
 from repro.core.memo import MemoEntry, TransitionMemo
 from repro.opt import (
     PHASES,
     apply_phase,
     attempt_phase_on_clone,
     implicit_cleanup,
-    set_legacy_clone_mode,
 )
-from repro.analysis import set_cache_enabled, set_paranoid
+from repro.analysis import set_paranoid
 from repro.programs import PROGRAMS, compile_benchmark
 
 
@@ -61,11 +61,8 @@ def _mutated_functions(seed: int = 2006, count: int = 10, length: int = 6):
 
 
 def _legacy_fingerprint(func, keep_text=False, remap=True):
-    previous = set_legacy_mode(True)
-    try:
-        return fingerprint_function(func, keep_text=keep_text, remap=remap)
-    finally:
-        set_legacy_mode(previous)
+    """The render-then-hash oracle the streaming pipeline must match."""
+    return fp_mod._legacy_fingerprint(func, keep_text, remap)
 
 
 def dag_snapshot(dag):
@@ -160,17 +157,6 @@ def test_reference_crc_matches_zlib_with_seed(data, seed):
 
 
 class TestAnalysisCache:
-    def test_cache_off_is_bit_identical(self):
-        func = compile_benchmark("sha").functions["rol"]
-        implicit_cleanup(func)
-        cached = enumerate_space(func, EnumerationConfig())
-        previous = set_cache_enabled(False)
-        try:
-            uncached = enumerate_space(func, EnumerationConfig())
-        finally:
-            set_cache_enabled(previous)
-        assert result_signature(cached) == result_signature(uncached)
-
     def test_paranoid_mode_finds_no_stale_analyses(self):
         # Paranoid mode recomputes every analysis and raises if a
         # cached one diverges — a full enumeration is a sweep over
@@ -186,7 +172,7 @@ class TestAnalysisCache:
 
 
 # ----------------------------------------------------------------------
-# Single-clone fast path == legacy clone + apply_phase
+# Single-clone fast path == clone + in-place apply_phase
 # ----------------------------------------------------------------------
 
 
@@ -196,11 +182,9 @@ class TestSingleCloneFastPath:
             for phase in PHASES:
                 before = fingerprint_function(func, keep_text=True)
                 fast = attempt_phase_on_clone(func.clone(), phase)
-                previous = set_legacy_clone_mode(True)
-                try:
-                    slow = attempt_phase_on_clone(func.clone(), phase)
-                finally:
-                    set_legacy_clone_mode(previous)
+                slow = func.clone()
+                if not apply_phase(slow, phase):
+                    slow = None
                 # dormant/active agreement, identical results, and the
                 # parent untouched either way
                 assert (fast is None) == (slow is None), (label, phase.id)

@@ -1,21 +1,27 @@
 """Tests for the guarded phase runner and differential tester."""
 
+import hashlib
+import json
 import time
 
 import pytest
 
 from repro.core.batch import BatchCompiler
+from repro.core.checkpoint import dag_to_dict
+from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.fingerprint import fingerprint_function
 from repro.frontend import compile_source
+from repro.ir.function import Function
 from repro.ir.instructions import Assign
 from repro.ir.operands import Const
+from repro.opt import PHASES, implicit_cleanup
 from repro.opt.base import Phase
+from repro.programs import compile_benchmark
 from repro.robustness.faults import FaultInjector
 from repro.robustness.guard import (
     DifferentialTester,
     GuardedPhaseRunner,
     default_vectors,
-    restore_function,
 )
 from repro.robustness.quarantine import QuarantineLog, QuarantineRecord
 from tests.conftest import MAXI_SRC, compile_fn
@@ -69,8 +75,8 @@ class TestExceptionContainment:
     def test_raising_phase_is_quarantined(self, maxi_func):
         guard = GuardedPhaseRunner()
         before = _fp(maxi_func)
-        assert guard.apply(maxi_func, _RaisingPhase()) is False
-        assert _fp(maxi_func) == before  # restored
+        assert guard.apply(maxi_func, _RaisingPhase()) is None
+        assert _fp(maxi_func) == before  # never mutated
         assert len(guard.quarantine) == 1
         record = guard.quarantine.records[0]
         assert record.kind == "exception"
@@ -85,9 +91,11 @@ class TestExceptionContainment:
                 raise KeyboardInterrupt
 
         guard = GuardedPhaseRunner()
+        before = _fp(maxi_func)
         with pytest.raises(KeyboardInterrupt):
             guard.apply(maxi_func, _Interrupting())
         assert len(guard.quarantine) == 0
+        assert _fp(maxi_func) == before
 
 
 class TestTimeouts:
@@ -95,7 +103,7 @@ class TestTimeouts:
         guard = GuardedPhaseRunner(phase_timeout=0.1)
         before = _fp(maxi_func)
         start = time.perf_counter()
-        assert guard.apply(maxi_func, _HangingPhase()) is False
+        assert guard.apply(maxi_func, _HangingPhase()) is None
         assert time.perf_counter() - start < 5.0
         assert _fp(maxi_func) == before
         assert guard.quarantine.records[0].kind == "timeout"
@@ -109,7 +117,7 @@ class TestInjectedFaults:
             fault_injector=FaultInjector(modes=("raise",), attempts={1})
         )
         before = _fp(maxi_func)
-        assert guard.apply(maxi_func, phase_by_id("b")) is False
+        assert guard.apply(maxi_func, phase_by_id("b")) is None
         assert _fp(maxi_func) == before
         assert guard.quarantine.records[0].kind == "exception"
 
@@ -121,7 +129,7 @@ class TestInjectedFaults:
             fault_injector=FaultInjector(modes=("corrupt",), attempts={1}),
         )
         before = _fp(maxi_func)
-        assert guard.apply(maxi_func, phase_by_id("b")) is False
+        assert guard.apply(maxi_func, phase_by_id("b")) is None
         assert _fp(maxi_func) == before
         record = guard.quarantine.records[0]
         assert record.kind == "validation"
@@ -136,9 +144,11 @@ class TestInjectedFaults:
                 modes=("hang",), attempts={1}, hang_seconds=5.0
             ),
         )
+        before = _fp(maxi_func)
         start = time.perf_counter()
-        assert guard.apply(maxi_func, phase_by_id("b")) is False
+        assert guard.apply(maxi_func, phase_by_id("b")) is None
         assert time.perf_counter() - start < 5.0
+        assert _fp(maxi_func) == before
         assert guard.quarantine.records[0].kind == "timeout"
 
     def test_uninjected_applications_work_normally(self, maxi_func):
@@ -147,12 +157,15 @@ class TestInjectedFaults:
         guard = GuardedPhaseRunner(
             fault_injector=FaultInjector(modes=("raise",), attempts=set())
         )
+        before = _fp(maxi_func)
         # maxi has at least one active phase from the start
         changed = any(
-            guard.apply(maxi_func, phase_by_id(pid)) for pid in "bsiu"
+            guard.apply(maxi_func, phase_by_id(pid)) is not None
+            for pid in "bsiu"
         )
         assert changed
         assert len(guard.quarantine) == 0
+        assert _fp(maxi_func) == before
 
 
 class TestDifferentialTesting:
@@ -165,7 +178,7 @@ class TestDifferentialTesting:
         tester = DifferentialTester(program, "five", default_vectors(func))
         guard = GuardedPhaseRunner(difftest=tester)
         before = _fp(func)
-        assert guard.apply(func, _ConstTweakPhase()) is False
+        assert guard.apply(func, _ConstTweakPhase()) is None
         assert _fp(func) == before
         record = guard.quarantine.records[0]
         assert record.kind == "semantics"
@@ -181,7 +194,11 @@ class TestDifferentialTesting:
         guard = GuardedPhaseRunner(difftest=tester)
         func = compile_fn(MAXI_SRC, "maxi")
         for pid in "bsiukch":
-            guard.apply(func, phase_by_id(pid))
+            before = _fp(func)
+            candidate = guard.apply(func, phase_by_id(pid))
+            assert _fp(func) == before
+            if candidate is not None:
+                func = candidate
         assert len(guard.quarantine) == 0
 
     def test_check_reports_mismatch_directly(self):
@@ -203,17 +220,131 @@ class TestDifferentialTesting:
         assert default_vectors(program.functions["five"]) == ((),)
 
 
-class TestRestoreFunction:
-    def test_restore_roundtrip(self, gcd_func):
-        from repro.opt import apply_phase, phase_by_id
+@pytest.fixture
+def clones(monkeypatch):
+    """A running count of ``Function.clone`` calls."""
+    count = [0]
+    real = Function.clone
 
-        snapshot = gcd_func.clone()
-        before = _fp(gcd_func)
-        assert apply_phase(gcd_func, phase_by_id("s"))
-        assert _fp(gcd_func) != before
-        restore_function(gcd_func, snapshot)
-        assert _fp(gcd_func) == before
-        assert not gcd_func.sel_applied
+    def counting(func):
+        count[0] += 1
+        return real(func)
+
+    monkeypatch.setattr(Function, "clone", counting)
+    return count
+
+
+def _sanitizing_guard():
+    from repro.staticanalysis.checker import EdgeChecker
+
+    return GuardedPhaseRunner(validate=True, sanitizer=EdgeChecker(mode="fast"))
+
+
+class TestAttemptClones:
+    """A guarded attempt clones like an unguarded one: at most one
+    clone, none for an illegal phase, and the input never mutated."""
+
+    @pytest.mark.parametrize(
+        "make_guard",
+        [
+            lambda: GuardedPhaseRunner(validate=True),
+            _sanitizing_guard,
+            lambda: GuardedPhaseRunner(
+                fault_injector=FaultInjector(modes=("raise",), attempts={1, 3})
+            ),
+            lambda: GuardedPhaseRunner(
+                validate=False,
+                fault_injector=FaultInjector(
+                    modes=("corrupt",), attempts={1, 3}
+                ),
+            ),
+        ],
+        ids=["validate", "sanitize-fast", "fault-raise", "fault-corrupt"],
+    )
+    def test_at_most_one_clone_per_attempt(self, maxi_func, clones, make_guard):
+        guard = make_guard()
+        injector = guard.fault_injector
+        before = _fp(maxi_func)
+        illegal = 0
+        for phase in PHASES:
+            legal = phase.applicable(maxi_func)
+            injected_before = injector.injected if injector else 0
+            clones[0] = 0
+            guard.apply(maxi_func, phase)
+            injected = injector is not None and injector.injected > injected_before
+            assert clones[0] <= 1, phase.id
+            if not legal and not injected:
+                illegal += 1
+                assert clones[0] == 0, phase.id
+            assert _fp(maxi_func) == before, phase.id
+        assert illegal > 0  # k, g and l wait for selection/allocation
+        if injector is not None:
+            assert injector.injected == 2
+
+    def test_guarded_enumeration_clones_once_per_attempt(self, clones):
+        program = compile_benchmark("bitcount")
+        func = program.functions["ntbl_bitcount"]
+        implicit_cleanup(func)
+        clones[0] = 0
+        result = enumerate_space(
+            func,
+            EnumerationConfig(
+                validate=True,
+                fault_injector=FaultInjector(seed=2006, rate=0.05),
+                sanitize="fast",
+                program=program,
+            ),
+        )
+        # one clone for the root instance, at most one per attempt
+        assert clones[0] <= result.attempted_phases + 1
+
+
+class TestPinnedParity:
+    """Guarded enumerations under validation, seeded fault injection
+    and the fast sanitizer, pinned value for value: the DAG digest,
+    the quarantine breakdown, the fault stream and the sanitizer's
+    edge count."""
+
+    @pytest.mark.parametrize(
+        "bench,name,instances,attempts,by_kind,injected,edges,digest",
+        [
+            (
+                "bitcount", "ntbl_bitcount", 54, 696,
+                {"exception": 13, "validation": 12}, 25, 126,
+                "3e3ad1aa1be2f447",
+            ),
+            (
+                "jpeg", "descale", 37, 481,
+                {"exception": 8, "validation": 7}, 15, 86,
+                "3e5b6252802daec2",
+            ),
+        ],
+    )
+    def test_guarded_enumeration_pinned(
+        self, bench, name, instances, attempts, by_kind, injected, edges, digest
+    ):
+        program = compile_benchmark(bench)
+        func = program.functions[name]
+        implicit_cleanup(func)
+        injector = FaultInjector(seed=2006, rate=0.05)
+        result = enumerate_space(
+            func,
+            EnumerationConfig(
+                validate=True,
+                fault_injector=injector,
+                sanitize="fast",
+                program=program,
+            ),
+        )
+        payload = json.dumps(
+            dag_to_dict(result.dag), sort_keys=True, separators=(",", ":")
+        )
+        assert len(result.dag) == instances
+        assert result.attempted_phases == attempts
+        assert result.quarantine.by_kind() == by_kind
+        assert (injector.applications, injector.injected) == (attempts, injected)
+        assert result.sanitize_stats["edges"] == edges
+        assert hashlib.sha256(payload.encode()).hexdigest().startswith(digest)
 
 
 class TestGuardedCompilers:
@@ -284,12 +415,12 @@ class TestCooperativeDeadline:
         outcome = {}
 
         def target():
-            outcome["active"] = guard.apply(func, phase)
+            outcome["candidate"] = guard.apply(func, phase)
 
         thread = threading.Thread(target=target)
         thread.start()
         thread.join()
-        return outcome["active"]
+        return outcome["candidate"]
 
     def test_slow_phase_rejected_off_main_thread(self):
         class _SlowConstTweak(_ConstTweakPhase):
@@ -300,9 +431,9 @@ class TestCooperativeDeadline:
         func = compile_fn(FIVE_SRC, "five")
         guard = GuardedPhaseRunner(phase_timeout=0.05)
         before = _fp(func)
-        active = self._apply_in_thread(guard, func, _SlowConstTweak())
-        assert active is False
-        assert _fp(func) == before  # restored despite "success"
+        candidate = self._apply_in_thread(guard, func, _SlowConstTweak())
+        assert candidate is None  # rejected despite "success"
+        assert _fp(func) == before  # never mutated
         record = guard.quarantine.records[0]
         assert record.kind == "timeout"
         assert "cooperative" in record.detail
@@ -317,13 +448,17 @@ class TestCooperativeDeadline:
                 return False
 
         guard = GuardedPhaseRunner(phase_timeout=0.05)
-        active = self._apply_in_thread(guard, maxi_func, _SlowDormant())
-        assert active is False
+        before = _fp(maxi_func)
+        candidate = self._apply_in_thread(guard, maxi_func, _SlowDormant())
+        assert candidate is None
+        assert _fp(maxi_func) == before
         assert guard.quarantine.records[0].kind == "timeout"
 
     def test_fast_phase_passes_off_main_thread(self, maxi_func):
         from repro.opt import phase_by_id
 
         guard = GuardedPhaseRunner(phase_timeout=5.0)
+        before = _fp(maxi_func)
         self._apply_in_thread(guard, maxi_func, phase_by_id("b"))
         assert len(guard.quarantine) == 0
+        assert _fp(maxi_func) == before

@@ -284,7 +284,7 @@ class TestContractMutations:
 class TestGuardIntegration:
     def test_sanitizer_quarantines_corrupted_phase(self, gcd):
         """A phase whose output drops a def must be quarantined with
-        kind 'sanitizer', and the function restored."""
+        kind 'sanitizer', and the input function never mutated."""
 
         class _Corrupting:
             id = "u"
@@ -302,36 +302,42 @@ class TestGuardIntegration:
                             return True
             return False
 
+        def corrupt_on_clone(func, ph, target):
+            candidate = func.clone()
+            return candidate if corrupt(candidate) else None
+
         import repro.opt as opt_mod
 
         checker = EdgeChecker(mode=FULL)
         runner = GuardedPhaseRunner(validate=False, sanitizer=checker)
         phase = _Corrupting()
-        original = opt_mod.apply_phase
+        original = opt_mod.attempt_phase_on_clone
         before_text = [repr(block.insts) for block in gcd.blocks]
 
         from unittest import mock
 
         with mock.patch(
-            "repro.robustness.guard.apply_phase",
-            lambda func, ph, target: corrupt(func),
+            "repro.robustness.guard.attempt_phase_on_clone", corrupt_on_clone
         ):
-            active = runner.apply(gcd, phase)
-        assert original is opt_mod.apply_phase
-        assert active is False
+            candidate = runner.apply(gcd, phase)
+        assert original is opt_mod.attempt_phase_on_clone
+        assert candidate is None
         assert len(runner.quarantine) == 1
         record = runner.quarantine.records[0]
         assert record.kind == "sanitizer"
         assert checker.counters["findings"] >= 1
-        # The pre-phase instance must be restored bit-for-bit.
+        # The input instance is never mutated.
         assert [repr(block.insts) for block in gcd.blocks] == before_text
 
     def test_clean_phase_passes_through(self, gcd):
         checker = EdgeChecker(mode=FULL)
         runner = GuardedPhaseRunner(validate=True, sanitizer=checker)
         applied = 0
+        func = gcd
         for phase_id in "sckshu":
-            if runner.apply(gcd, phase_by_id(phase_id)):
+            candidate = runner.apply(func, phase_by_id(phase_id))
+            if candidate is not None:
+                func = candidate
                 applied += 1
         assert applied > 0
         assert len(runner.quarantine) == 0
