@@ -700,8 +700,3 @@ def flat_single_defs_of(flat: FlatFunction) -> Dict[int, int]:
             if counts[rid] == 1 and KIND[iid] == K_ASSIGN
         }
     return cache.single_defs
-
-
-def reset_flat_analysis_caches() -> None:
-    _BLOCK_USE_DEF.clear()
-    _ANALYSES_BY_CONTENT.clear()

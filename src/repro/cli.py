@@ -425,8 +425,7 @@ def cmd_profile(args) -> int:
 
     The profiling companion to ``benchmarks/bench_hotpath.py``: the
     benchmark tells you *whether* the engine regressed, this command
-    tells you *where* the time went.  ``--cold`` resets the flat-kernel
-    caches first so the run measures what a fresh process would pay.
+    tells you *where* the time went.
     """
     import cProfile
     import time
@@ -440,10 +439,6 @@ def cmd_profile(args) -> int:
         time_limit=args.time_limit,
         engine=args.engine,
     )
-    if args.cold:
-        from repro.opt.flat import reset_flat_kernel_caches
-
-        reset_flat_kernel_caches()
     tracer = _build_tracer(args, "repro.profile") if args.run_dir else None
     ok = False
     profiler = cProfile.Profile()
@@ -1203,12 +1198,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["flat", "object"],
         default="flat",
         help="expansion engine to profile (default: flat)",
-    )
-    p.add_argument(
-        "--cold",
-        action="store_true",
-        help="reset the flat-kernel caches first, so the run measures "
-        "a fresh process instead of this one's warm state",
     )
     p.add_argument(
         "--sort",

@@ -13,7 +13,6 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.ir.function import Function
-from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
 from repro.opt import PHASES, Phase, apply_phase, phase_by_id
 from repro.opt.base import _copy_into
@@ -23,7 +22,6 @@ from repro.robustness.guard import GuardedPhaseRunner
 def apply_in_place(
     func: Function,
     phase: Phase,
-    target: Target,
     guard: Optional[GuardedPhaseRunner] = None,
 ) -> bool:
     """Apply *phase* to *func* in place; returns whether it was active.
@@ -33,8 +31,8 @@ def apply_in_place(
     *func* as it was.
     """
     if guard is None:
-        return apply_phase(func, phase, target)
-    candidate = guard.apply(func, phase, target)
+        return apply_phase(func, phase)
+    candidate = guard.apply(func, phase)
     if candidate is None:
         return False
     _copy_into(candidate, func)
@@ -117,13 +115,11 @@ class BatchCompiler:
 
     def __init__(
         self,
-        target: Optional[Target] = None,
         prologue: Sequence[str] = BATCH_PROLOGUE,
         loop: Sequence[str] = BATCH_LOOP,
         max_loop_iterations: int = 50,
         guard: Optional[GuardedPhaseRunner] = None,
     ):
-        self.target = target or DEFAULT_TARGET
         self.prologue = tuple(prologue)
         self.loop = tuple(loop)
         self.max_loop_iterations = max_loop_iterations
@@ -134,9 +130,7 @@ class BatchCompiler:
         self.guard = guard
 
     def _apply(self, func: Function, phase_id: str) -> bool:
-        return apply_in_place(
-            func, phase_by_id(phase_id), self.target, self.guard
-        )
+        return apply_in_place(func, phase_by_id(phase_id), self.guard)
 
     def compile(self, func: Function) -> CompilationReport:
         """Optimize *func* in place with the default phase order."""

@@ -252,7 +252,7 @@ class SpaceDAG:
         return order
 
 
-def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
+def materialize_instances(dag: SpaceDAG, root_func) -> int:
     """Re-attach a :class:`Function` instance to every node of *dag*.
 
     The DAG records *which* instances exist and which phase transforms
@@ -276,10 +276,8 @@ def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
     """
     from repro.core.enumeration import _node_key
     from repro.core.fingerprint import fingerprint_function
-    from repro.machine.target import DEFAULT_TARGET
     from repro.opt import attempt_phase_on_clone, phase_by_id
 
-    target = target or DEFAULT_TARGET
     if dag.root_id is None:
         return 0
     root = dag.root
@@ -305,7 +303,7 @@ def materialize_instances(dag: SpaceDAG, root_func, target=None) -> int:
             if child.function is not None:
                 continue
             candidate = attempt_phase_on_clone(
-                node.function, phase_by_id(phase_id), target
+                node.function, phase_by_id(phase_id)
             )
             applied += 1
             if candidate is None:

@@ -55,7 +55,6 @@ from repro.core.fingerprint import Fingerprint, fingerprint_function
 from repro.core.memo import TransitionMemo
 from repro.ir.flat import flat_fingerprint, from_flat, to_flat
 from repro.ir.function import Function, Program
-from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
 from repro.opt import (
     PHASES,
@@ -92,7 +91,6 @@ class EnumerationConfig:
         keep_functions: bool = False,
         remap: bool = True,
         phases: Sequence[Phase] = PHASES,
-        target: Optional[Target] = None,
         validate: bool = False,
         difftest: bool = False,
         program: Optional[Program] = None,
@@ -128,7 +126,6 @@ class EnumerationConfig:
         self.phase_index: Dict[str, Phase] = {
             phase.id: phase for phase in self.phases
         }
-        self.target = target or DEFAULT_TARGET
         #: run the IR validator on every active phase's output
         self.validate = validate
         #: differential-test candidates in the VM against *program*
@@ -300,7 +297,6 @@ class SpaceEnumerator:
     def __init__(self, func: Function, config: Optional[EnumerationConfig] = None):
         self.config = config if config is not None else EnumerationConfig()
         self.input_func = func
-        self.target = self.config.target
         self.guard = self._build_guard()
         self.quarantine = (
             self.guard.quarantine if self.guard is not None else QuarantineLog()
@@ -521,12 +517,10 @@ class SpaceEnumerator:
 
             sanitizer = EdgeChecker(
                 mode=config.sanitize,
-                target=config.target,
                 program=config.program,
                 entry=self.input_func.name,
             )
         return GuardedPhaseRunner(
-            target=config.target,
             validate=config.validate,
             difftest=difftester,
             phase_timeout=config.phase_timeout,
@@ -818,9 +812,7 @@ class SpaceEnumerator:
                     parent = self.root_func.clone()
                     for prior_id in self.recipes[node.node_id]:
                         self.applied += 1
-                        apply_phase(
-                            parent, config.phase_index[prior_id], self.target
-                        )
+                        apply_phase(parent, config.phase_index[prior_id])
                 # One transition call per attempt, each making at most
                 # one clone and none for an illegal phase (see
                 # opt/base.py); the guard vets its candidate before
@@ -829,18 +821,15 @@ class SpaceEnumerator:
                     candidate = self.guard.apply(
                         parent,
                         phase,
-                        self.target,
                         node_key=f"node#{node.node_id}",
                         level=node.level,
                     )
                 elif self.flat_engine:
                     candidate = attempt_phase_on_flat(
-                        parent, phase, self.target, view_cache
+                        parent, phase, view_cache
                     )
                 else:
-                    candidate = attempt_phase_on_clone(
-                        parent, phase, self.target
-                    )
+                    candidate = attempt_phase_on_clone(parent, phase)
                 dormant = candidate is None
             if tracer is not None:
                 tracer.phase_outcome(

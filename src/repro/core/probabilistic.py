@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.batch import CompilationReport, apply_in_place
 from repro.core.interactions import InteractionAnalysis
 from repro.ir.function import Function
-from repro.machine.target import DEFAULT_TARGET, Target
 from repro.observability import tracer as _obs
 from repro.opt import PHASE_IDS, phase_by_id
 from repro.robustness.guard import GuardedPhaseRunner
@@ -33,14 +32,12 @@ class ProbabilisticCompiler:
     def __init__(
         self,
         interactions: InteractionAnalysis,
-        target: Optional[Target] = None,
         threshold: float = 0.0,
         max_steps: int = 500,
         use_benefits: bool = False,
         guard: Optional[GuardedPhaseRunner] = None,
     ):
         self.interactions = interactions
-        self.target = target or DEFAULT_TARGET
         #: phases with probability at or below this are never applied
         self.threshold = threshold
         self.max_steps = max_steps
@@ -86,7 +83,7 @@ class ProbabilisticCompiler:
                 break
             attempted += 1
             phase = phase_by_id(best)
-            if apply_in_place(func, phase, self.target, self.guard):
+            if apply_in_place(func, phase, self.guard):
                 active_sequence.append(best)
                 for pid in phase_ids:
                     if pid == best:

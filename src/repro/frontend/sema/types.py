@@ -142,8 +142,3 @@ def words(t: Type) -> int:
     if isinstance(t, Struct):
         return t.words
     return 1
-
-
-def stride_bytes(pointee: Type) -> int:
-    """Bytes between consecutive elements a pointer to *pointee* steps over."""
-    return 4 * words(pointee)

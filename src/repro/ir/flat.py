@@ -37,9 +37,7 @@ is what makes the dispatch fallback viable: a phase without a flat
 kernel round-trips through the object IR at the cost of two list
 comprehensions, not a parse.
 
-The pools are process-global and append-only.  They never shrink
-during enumeration; :func:`reset_flat_caches` exists for tests and
-long-lived services that recycle workers.
+The pools are process-global and append-only: they never shrink.
 """
 
 from __future__ import annotations
@@ -120,10 +118,6 @@ def mask_of(regs) -> int:
     for reg in regs:
         mask |= 1 << reg_id(reg)
     return mask
-
-
-def regs_of_mask(mask: int) -> List[Reg]:
-    return [REG_OBJS[rid] for rid in iter_rids(mask)]
 
 
 # ----------------------------------------------------------------------
@@ -562,11 +556,6 @@ def flat_fingerprint(flat: FlatFunction, keep_text: bool = False) -> Fingerprint
             _FP_CACHE.clear()
         _FP_CACHE[key] = result
     return result
-
-
-def reset_flat_caches() -> None:
-    """Drop derived caches (fingerprints); intern pools stay valid."""
-    _FP_CACHE.clear()
 
 
 def flat_pool_stats() -> Dict[str, int]:

@@ -50,7 +50,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.ir.function import Function
-from repro.machine.target import DEFAULT_TARGET, Target
 
 
 class Phase:
@@ -74,7 +73,7 @@ class Phase:
         """Legality of attempting this phase in the current state."""
         return True
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         """Apply the phase in place; return True when code changed."""
         raise NotImplementedError
 
@@ -82,7 +81,7 @@ class Phase:
         return f"<Phase {self.id}: {self.name}>"
 
 
-def apply_phase(func: Function, phase: Phase, target: Optional[Target] = None) -> bool:
+def apply_phase(func: Function, phase: Phase) -> bool:
     """Attempt *phase* on *func* with VPO's implicit behaviours.
 
     Returns True when the phase was active.  When the phase is dormant
@@ -93,8 +92,6 @@ def apply_phase(func: Function, phase: Phase, target: Optional[Target] = None) -
     from repro.opt.cleanup import implicit_cleanup
     from repro.opt.register_assignment import assign_registers
 
-    if target is None:
-        target = DEFAULT_TARGET
     if not phase.applicable(func):
         return False
 
@@ -102,25 +99,23 @@ def apply_phase(func: Function, phase: Phase, target: Optional[Target] = None) -
         # Attempt on a scratch copy first so a dormant phase does not
         # commit the assignment.
         scratch = func.clone()
-        assign_registers(scratch, target)
+        assign_registers(scratch)
         scratch.reg_assigned = True
-        if not phase.run(scratch, target):
+        if not phase.run(scratch):
             return False
-        _cleanup_fixpoint(scratch, phase, target)
+        _cleanup_fixpoint(scratch, phase)
         _copy_into(scratch, func)
         _note_active(func, phase)
         return True
 
-    changed = phase.run(func, target)
+    changed = phase.run(func)
     if changed:
-        _cleanup_fixpoint(func, phase, target)
+        _cleanup_fixpoint(func, phase)
         _note_active(func, phase)
     return changed
 
 
-def attempt_phase_on_clone(
-    func: Function, phase: Phase, target: Optional[Target] = None
-) -> Optional[Function]:
+def attempt_phase_on_clone(func: Function, phase: Phase) -> Optional[Function]:
     """Attempt *phase* on a clone of *func*; None when dormant.
 
     Single-clone fast path for enumeration (see the module docstring
@@ -129,22 +124,20 @@ def attempt_phase_on_clone(
     """
     from repro.opt.register_assignment import assign_registers
 
-    if target is None:
-        target = DEFAULT_TARGET
     if not phase.applicable(func):
         return None
     candidate = func.clone()
     if phase.requires_assignment and not candidate.reg_assigned:
-        assign_registers(candidate, target)
+        assign_registers(candidate)
         candidate.reg_assigned = True
-    if not phase.run(candidate, target):
+    if not phase.run(candidate):
         return None
-    _cleanup_fixpoint(candidate, phase, target)
+    _cleanup_fixpoint(candidate, phase)
     _note_active(candidate, phase)
     return candidate
 
 
-def _cleanup_fixpoint(func: Function, phase: Phase, target: Target) -> None:
+def _cleanup_fixpoint(func: Function, phase: Phase) -> None:
     """Run the implicit cleanup and re-run *phase* to a joint fixpoint.
 
     The implicit block merging can expose new opportunities for the
@@ -157,7 +150,7 @@ def _cleanup_fixpoint(func: Function, phase: Phase, target: Target) -> None:
 
     implicit_cleanup(func)
     for _ in range(100):
-        if not phase.run(func, target):
+        if not phase.run(func):
             return
         implicit_cleanup(func)
     raise RuntimeError(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.analysis.cache import cfg_of
 from repro.ir.function import Function
 from repro.ir.instructions import CondBranch, Jump, Return
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 
@@ -33,7 +32,7 @@ class BlockReordering(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         while self._apply_once(func):
             changed = True

@@ -16,7 +16,6 @@ from typing import Dict, Optional
 from repro.analysis.cache import cfg_of
 from repro.ir.function import Function
 from repro.ir.instructions import CondBranch, Jump
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 
@@ -42,7 +41,7 @@ class BranchChaining(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         # Blocks consisting solely of an unconditional jump.
         trivial: Dict[str, str] = {}
         for block in func.blocks:

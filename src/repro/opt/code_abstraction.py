@@ -22,7 +22,6 @@ from typing import List, Optional
 from repro.analysis.cache import cfg_of
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Compare, CondBranch, Instruction, Jump
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 
@@ -35,7 +34,7 @@ class CodeAbstraction(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         while self._cross_jump_once(func) or self._hoist_once(func):
             changed = True

@@ -45,14 +45,14 @@ from repro.ir.operands import (
     Sym,
     UnOp,
 )
-from repro.machine.target import FP, Target
+from repro.machine.target import DEFAULT_TARGET, FP
 from repro.opt.base import Phase
 
 
-def _legalize(inst: Instruction, target: Target) -> Optional[Instruction]:
+def _legalize(inst: Instruction) -> Optional[Instruction]:
     """Return a legal variant of *inst*, swapping commutative operands
     if that helps, or None when no legal form exists."""
-    if target.is_legal(inst):
+    if DEFAULT_TARGET.is_legal(inst):
         return inst
     if (
         isinstance(inst, Assign)
@@ -60,7 +60,7 @@ def _legalize(inst: Instruction, target: Target) -> Optional[Instruction]:
         and inst.src.op in COMMUTATIVE_OPS
     ):
         swapped = Assign(inst.dst, BinOp(inst.src.op, inst.src.right, inst.src.left))
-        if target.is_legal(swapped):
+        if DEFAULT_TARGET.is_legal(swapped):
             return swapped
     return None
 
@@ -157,12 +157,12 @@ class CommonSubexpressionElimination(Phase):
     contract_breaks = ()
     requires_assignment = True
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         while True:
-            step = self._local_value_numbering(func, target)
-            step |= self._global_propagation(func, target)
-            step |= self._global_cse(func, target)
+            step = self._local_value_numbering(func)
+            step |= self._global_propagation(func)
+            step |= self._global_cse(func)
             if not step:
                 return changed
             changed = True
@@ -171,7 +171,7 @@ class CommonSubexpressionElimination(Phase):
     # Part 1: local value numbering
     # ------------------------------------------------------------------
 
-    def _local_value_numbering(self, func: Function, target: Target) -> bool:
+    def _local_value_numbering(self, func: Function) -> bool:
         changed = False
         for block in func.blocks:
             table = _ValueTable()
@@ -180,7 +180,7 @@ class CommonSubexpressionElimination(Phase):
                 if mapping:
                     rewritten = rewrite_uses(inst, mapping)
                     if rewritten != inst:
-                        legal = _legalize(rewritten, target)
+                        legal = _legalize(rewritten)
                         if legal is None:
                             # Try copies only (constants may be the
                             # illegal part).
@@ -191,7 +191,7 @@ class CommonSubexpressionElimination(Phase):
                             }
                             if copy_only:
                                 rewritten = rewrite_uses(inst, copy_only)
-                                legal = _legalize(rewritten, target)
+                                legal = _legalize(rewritten)
                         if legal is not None and legal != inst:
                             block.insts[i] = legal
                             inst = legal
@@ -222,7 +222,7 @@ class CommonSubexpressionElimination(Phase):
     # Part 2: global constant / copy propagation (single-def registers)
     # ------------------------------------------------------------------
 
-    def _global_propagation(self, func: Function, target: Target) -> bool:
+    def _global_propagation(self, func: Function) -> bool:
         single_defs = single_def_registers(func)
         values: Dict[Reg, Expr] = {}
         for reg, inst in single_defs.items():
@@ -234,13 +234,13 @@ class CommonSubexpressionElimination(Phase):
                     values[reg] = origin
         if not values:
             return False
-        return self._replace_dominated_uses(func, target, single_defs, values)
+        return self._replace_dominated_uses(func, single_defs, values)
 
     # ------------------------------------------------------------------
     # Part 3: global CSE over single-def registers
     # ------------------------------------------------------------------
 
-    def _global_cse(self, func: Function, target: Target) -> bool:
+    def _global_cse(self, func: Function) -> bool:
         single_defs = single_def_registers(func)
 
         def stable(expr: Expr) -> bool:
@@ -301,7 +301,6 @@ class CommonSubexpressionElimination(Phase):
     def _replace_dominated_uses(
         self,
         func: Function,
-        target: Target,
         single_defs: Dict[Reg, Instruction],
         values: Dict[Reg, Expr],
     ) -> bool:
@@ -337,7 +336,7 @@ class CommonSubexpressionElimination(Phase):
                 rewritten = rewrite_uses(inst, mapping)
                 if rewritten == inst:
                     continue
-                legal = _legalize(rewritten, target)
+                legal = _legalize(rewritten)
                 if legal is None:
                     copy_only = {
                         k: v for k, v in mapping.items() if isinstance(v, Reg)
@@ -345,7 +344,7 @@ class CommonSubexpressionElimination(Phase):
                     if not copy_only:
                         continue
                     rewritten = rewrite_uses(inst, copy_only)
-                    legal = _legalize(rewritten, target)
+                    legal = _legalize(rewritten)
                 if legal is not None and legal != inst:
                     block.insts[i] = legal
                     changed = True

@@ -24,7 +24,6 @@ from repro.analysis.cache import liveness_of, slot_liveness_of
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Compare, CondBranch, Instruction
 from repro.ir.operands import Mem, Reg
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 
@@ -37,7 +36,7 @@ class DeadAssignmentElimination(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         while self._sweep(func):
             changed = True

@@ -20,7 +20,6 @@ from repro.analysis.cache import liveness_of
 from repro.ir.function import Function
 from repro.ir.instructions import Call, Compare, CondBranch, Instruction
 from repro.ir.operands import Reg
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 
@@ -75,7 +74,7 @@ class EvaluationOrderDetermination(Phase):
     def applicable(self, func: Function) -> bool:
         return not func.reg_assigned
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         liveness = liveness_of(func)
         changed = False
         for block in func.blocks:

@@ -23,7 +23,6 @@ from typing import Dict, Optional
 
 from repro.analysis.flat import flat_loops_of
 from repro.ir.flat import FlatFunction, from_flat, to_flat
-from repro.machine.target import DEFAULT_TARGET, Target
 from repro.opt.base import Phase, attempt_phase_on_clone
 from repro.opt.flat.abstraction import CodeAbstractionKernel
 from repro.opt.flat.assign import flat_assign_registers
@@ -42,7 +41,7 @@ from repro.opt.flat.loopjumps import MinimizeLoopJumpsKernel
 from repro.opt.flat.regalloc import RegisterAllocationKernel
 from repro.opt.flat.selection import InstructionSelectionKernel
 from repro.opt.flat.strength import StrengthReductionKernel
-from repro.opt.flat.support import FlatKernel, reset_support_caches
+from repro.opt.flat.support import FlatKernel
 
 #: phase id -> kernel instance; phases absent here use the object fallback
 FLAT_KERNELS: Dict[str, FlatKernel] = {
@@ -65,13 +64,11 @@ FLAT_KERNELS: Dict[str, FlatKernel] = {
 }
 
 
-def flat_cleanup_fixpoint(
-    flat: FlatFunction, kernel: FlatKernel, target: Target
-) -> None:
+def flat_cleanup_fixpoint(flat: FlatFunction, kernel: FlatKernel) -> None:
     """Implicit cleanup + re-run to a joint fixpoint (mirror of base)."""
     flat_implicit_cleanup(flat)
     for _ in range(100):
-        if not kernel.run(flat, target):
+        if not kernel.run(flat):
             return
         flat_implicit_cleanup(flat)
     raise RuntimeError(
@@ -82,7 +79,6 @@ def flat_cleanup_fixpoint(
 def attempt_phase_on_flat(
     flat: FlatFunction,
     phase: Phase,
-    target: Optional[Target] = None,
     view_cache: Optional[dict] = None,
 ) -> Optional[FlatFunction]:
     """Attempt *phase* on a clone of *flat*; ``None`` when dormant.
@@ -92,8 +88,6 @@ def attempt_phase_on_flat(
     several fallback phases on one node converts once.  The cached view
     is never mutated (``attempt_phase_on_clone`` works on a clone).
     """
-    if target is None:
-        target = DEFAULT_TARGET
     kernel = FLAT_KERNELS.get(phase.id)
     if kernel is None:
         # The fallback phases gate on legality flags only, which
@@ -111,46 +105,21 @@ def attempt_phase_on_flat(
             func = from_flat(flat)
             if view_cache is not None:
                 view_cache["view"] = func
-        candidate = attempt_phase_on_clone(func, phase, target)
+        candidate = attempt_phase_on_clone(func, phase)
         return None if candidate is None else to_flat(candidate)
 
     if not kernel.applicable(flat):
         return None
     candidate = flat.clone()
     if kernel.requires_assignment and not candidate.reg_assigned:
-        flat_assign_registers(candidate, target)
+        flat_assign_registers(candidate)
         candidate.reg_assigned = True
-    if not kernel.run(candidate, target):
+    if not kernel.run(candidate):
         return None
-    flat_cleanup_fixpoint(candidate, kernel, target)
+    flat_cleanup_fixpoint(candidate, kernel)
     if phase.id == "s":
         candidate.sel_applied = True
     elif phase.id == "k":
         candidate.alloc_applied = True
     return candidate
 
-
-def reset_flat_kernel_caches() -> None:
-    """Drop every module-level kernel cache (tests / leak hygiene)."""
-    from repro.opt.flat import (
-        cse,
-        deadassign,
-        evalorder,
-        regalloc,
-        selection,
-        strength,
-    )
-
-    reset_support_caches()
-    selection._COMBINED.clear()
-    selection._SELF_MOVE.clear()
-    selection._FOLDED.clear()
-    selection._DECISIONS.clear()
-    evalorder._SCHEDULES.clear()
-    strength._EXPANSIONS.clear()
-    strength._BLOCKS.clear()
-    cse._COPIES.clear()
-    cse._LVN.clear()
-    deadassign._CC_FLAGS.clear()
-    regalloc._LOAD_REWRITES.clear()
-    regalloc._STORE_REWRITES.clear()

@@ -17,7 +17,6 @@ from repro.ir.flat import (
     K_CONDBR,
     FlatFunction,
 )
-from repro.machine.target import Target
 from repro.opt.flat.support import FlatKernel, terminator_iid
 
 
@@ -29,7 +28,7 @@ def _body(block: List[int]) -> List[int]:
 class CodeAbstractionKernel(FlatKernel):
     id = "n"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         while self._cross_jump_once(flat) or self._hoist_once(flat):
             changed = True

@@ -26,13 +26,13 @@ from repro.ir.flat import (
 from repro.ir.function import LocalSlot
 from repro.ir.instructions import Assign
 from repro.ir.operands import BinOp, Const, Mem
-from repro.machine.target import ALLOCATABLE, FP, Target
+from repro.machine.target import ALLOCATABLE, FP
 from repro.opt.flat.support import ALLOC_MASK, HW_MASK, PSEUDO_CLEAR, rewrite_regs_iid
 
 _MAX_SPILL_ROUNDS = 25
 
 
-def flat_assign_registers(flat: FlatFunction, target: Target) -> None:
+def flat_assign_registers(flat: FlatFunction) -> None:
     """Replace every pseudo register in *flat* with a hardware register."""
     for _ in range(_MAX_SPILL_ROUNDS):
         coloring, spilled = _try_color(flat)

@@ -23,7 +23,6 @@ from repro.ir.flat import (
     FlatFunction,
 )
 from repro.ir.instructions import INVERTED_RELOP
-from repro.machine.target import Target
 from repro.opt.flat.support import FlatKernel, condbr_iid, jump_iid, terminator_iid
 
 
@@ -43,7 +42,7 @@ def _final_target(start: int, trivial: Dict[int, int]) -> int:
 class BranchChainingKernel(FlatKernel):
     id = "b"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         trivial: Dict[int, int] = {}
         for lid, block in zip(flat.labels, flat.blocks):
             if len(block) == 1 and KIND[block[0]] == K_JUMP:
@@ -83,7 +82,7 @@ class BranchChainingKernel(FlatKernel):
 class RemoveUnreachableCodeKernel(FlatKernel):
     id = "d"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         cfg = flat_cfg_of(flat)
         reachable = cfg.reachable(0)
         if len(reachable) == len(flat.blocks):
@@ -99,7 +98,7 @@ class RemoveUnreachableCodeKernel(FlatKernel):
 class BlockReorderingKernel(FlatKernel):
     id = "i"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         while self._apply_once(flat):
             changed = True
@@ -151,7 +150,7 @@ class BlockReorderingKernel(FlatKernel):
 class ReverseBranchesKernel(FlatKernel):
     id = "r"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         while True:
             cfg = flat_cfg_of(flat)
@@ -185,7 +184,7 @@ class ReverseBranchesKernel(FlatKernel):
 class RemoveUselessJumpsKernel(FlatKernel):
     id = "u"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         for i in range(len(flat.blocks) - 1):
             block = flat.blocks[i]

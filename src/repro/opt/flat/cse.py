@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import weakref
-
 from repro.analysis.flat import (
     flat_cfg_of,
     flat_dominators_of,
@@ -40,7 +38,6 @@ from repro.ir.flat import (
 )
 from repro.ir.instructions import Assign
 from repro.ir.operands import Expr, Reg
-from repro.machine.target import Target
 from repro.opt.flat.support import (
     FP_BIT,
     FP_RID,
@@ -69,22 +66,12 @@ def _copy_iid(dst_rid: int, src_rid: int) -> int:
     return iid
 
 
-#: per-target cache of whole-block local value numbering: the table
-#: starts empty at each block head, so the outcome is a pure function
-#: of (block content, target) — ``False`` marks an unchanged block
-_LVN: "weakref.WeakKeyDictionary[Target, Dict[int, object]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: cache of whole-block local value numbering: the table starts empty
+#: at each block head, so the outcome is a pure function of the block
+#: content — ``False`` marks an unchanged block
+_LVN: Dict[int, object] = {}
 _LVN_MAX = 1 << 18
 _MISSING = object()
-
-
-def _lvn_cache(target: Target) -> Dict[int, object]:
-    cache = _LVN.get(target)
-    if cache is None:
-        cache = {}
-        _LVN[target] = cache
-    return cache
 
 
 class _ValueTable:
@@ -167,12 +154,12 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
     id = "c"
     requires_assignment = True
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         while True:
-            step = self._local_value_numbering(flat, target)
-            step |= self._global_propagation(flat, target)
-            step |= self._global_cse(flat, target)
+            step = self._local_value_numbering(flat)
+            step |= self._global_propagation(flat)
+            step |= self._global_cse(flat)
             if not step:
                 return changed
             changed = True
@@ -181,18 +168,17 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
     # Part 1: local value numbering
     # ------------------------------------------------------------------
 
-    def _local_value_numbering(self, flat: FlatFunction, target: Target) -> bool:
+    def _local_value_numbering(self, flat: FlatFunction) -> bool:
         changed = False
-        cache = _lvn_cache(target)
         for bi, block in enumerate(flat.blocks):
             bid = block_id(tuple(block))
-            result = cache.get(bid, _MISSING)
+            result = _LVN.get(bid, _MISSING)
             if result is _MISSING:
-                new_block = self._lvn_block(block, target)
+                new_block = self._lvn_block(block)
                 result = tuple(new_block) if new_block is not None else False
-                if len(cache) >= _LVN_MAX:
-                    cache.clear()
-                cache[bid] = result
+                if len(_LVN) >= _LVN_MAX:
+                    _LVN.clear()
+                _LVN[bid] = result
             if result is not False:
                 flat.blocks[bi] = list(result)
                 changed = True
@@ -201,7 +187,7 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
         return changed
 
     @staticmethod
-    def _lvn_block(block, target: Target):
+    def _lvn_block(block):
         """LVN one block; the new instruction list, or None if unchanged."""
         block = list(block)
         changed = False
@@ -212,7 +198,7 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
             if pairs:
                 rewritten = rewrite_uses_iid(iid, pairs)
                 if rewritten != iid:
-                    legal = legalize_iid(rewritten, target)
+                    legal = legalize_iid(rewritten)
                     if legal < 0:
                         # Try copies only (constants may be the
                         # illegal part).
@@ -223,7 +209,7 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
                         )
                         if copy_pairs:
                             rewritten = rewrite_uses_iid(iid, copy_pairs)
-                            legal = legalize_iid(rewritten, target)
+                            legal = legalize_iid(rewritten)
                     if legal >= 0 and legal != iid:
                         block[i] = legal
                         iid = legal
@@ -252,7 +238,7 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
     # Part 2: global constant / copy propagation (single-def registers)
     # ------------------------------------------------------------------
 
-    def _global_propagation(self, flat: FlatFunction, target: Target) -> bool:
+    def _global_propagation(self, flat: FlatFunction) -> bool:
         single_defs = flat_single_defs_of(flat)
         values: Dict[int, Expr] = {}
         for rid, iid in single_defs.items():
@@ -264,13 +250,13 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
                     values[rid] = REG_OBJS[payload]
         if not values:
             return False
-        return self._replace_dominated_uses(flat, target, values)
+        return self._replace_dominated_uses(flat, values)
 
     # ------------------------------------------------------------------
     # Part 3: global CSE over single-def registers
     # ------------------------------------------------------------------
 
-    def _global_cse(self, flat: FlatFunction, target: Target) -> bool:
+    def _global_cse(self, flat: FlatFunction) -> bool:
         single_defs = flat_single_defs_of(flat)
         single_mask = 0
         for rid in single_defs:
@@ -350,7 +336,7 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
     # ------------------------------------------------------------------
 
     def _replace_dominated_uses(
-        self, flat: FlatFunction, target: Target, values: Dict[int, Expr]
+        self, flat: FlatFunction, values: Dict[int, Expr]
     ) -> bool:
         dom = flat_dominators_of(flat)
         reachable = set(dom.idom)
@@ -391,7 +377,7 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
                 rewritten = rewrite_uses_iid(iid, pairs)
                 if rewritten == iid:
                     continue
-                legal = legalize_iid(rewritten, target)
+                legal = legalize_iid(rewritten)
                 if legal < 0:
                     copy_pairs = tuple(
                         (rid, value)
@@ -401,7 +387,7 @@ class CommonSubexpressionEliminationKernel(FlatKernel):
                     if not copy_pairs:
                         continue
                     rewritten = rewrite_uses_iid(iid, copy_pairs)
-                    legal = legalize_iid(rewritten, target)
+                    legal = legalize_iid(rewritten)
                 if legal >= 0 and legal != iid:
                     block[i] = legal
                     changed = True

@@ -17,7 +17,6 @@ from repro.ir.flat import (
     FlatFunction,
     block_id,
 )
-from repro.machine.target import Target
 from repro.opt.flat.support import FlatKernel
 
 #: block id -> per-instruction "condition code read later" flags
@@ -29,7 +28,7 @@ _CC_FLAGS_MAX = 1 << 18
 class DeadAssignmentEliminationKernel(FlatKernel):
     id = "h"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         while self._sweep(flat):
             changed = True

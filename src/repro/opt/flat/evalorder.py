@@ -26,7 +26,6 @@ from repro.ir.flat import (
     block_id,
     iter_rids,
 )
-from repro.machine.target import Target
 from repro.opt.flat.support import FlatKernel, PSEUDO_CLEAR
 
 #: (block id, pseudo live-out mask) -> schedule (tuple of indices)
@@ -129,7 +128,7 @@ class EvaluationOrderDeterminationKernel(FlatKernel):
     def applicable(self, flat: FlatFunction) -> bool:
         return not flat.reg_assigned
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         liveness = flat_liveness_of(flat)
         changed = False
         for bi, block in enumerate(flat.blocks):

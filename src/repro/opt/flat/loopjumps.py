@@ -22,7 +22,6 @@ from repro.ir.flat import (
     FlatFunction,
 )
 from repro.ir.instructions import INVERTED_RELOP
-from repro.machine.target import Target
 from repro.opt.flat.support import FlatKernel, condbr_iid, jump_iid, terminator_iid
 from repro.opt.loop_jumps import MAX_DUPLICATED_INSTS
 
@@ -30,7 +29,7 @@ from repro.opt.loop_jumps import MAX_DUPLICATED_INSTS
 class MinimizeLoopJumpsKernel(FlatKernel):
     id = "j"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         while self._apply_once(flat):
             changed = True

@@ -18,7 +18,7 @@ from repro.ir.flat import (
 )
 from repro.ir.instructions import Assign
 from repro.ir.operands import Mem, Reg
-from repro.machine.target import ALLOCATABLE, Target
+from repro.machine.target import ALLOCATABLE
 from repro.opt.flat.support import FlatKernel, HW_MASK
 
 #: (load iid, hw index) -> ``dst = rX`` / (store iid, hw index) -> ``rX = src``
@@ -55,7 +55,7 @@ class RegisterAllocationKernel(FlatKernel):
     def applicable(self, flat: FlatFunction) -> bool:
         return flat.sel_applied
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         slot_liveness = flat_slot_liveness_of(flat)
         frame_refs = slot_liveness.frame_refs
         if frame_refs.has_wild:

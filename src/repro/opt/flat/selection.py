@@ -3,15 +3,13 @@
 Combine results are pure pair facts: substituting def ``t = e`` into a
 use instruction and folding depends only on the two interned
 instructions, so the rewrite+fold is cached per (def id, use id) and
-the legality verdict per (result id, target).  The scan that finds the
+the legality verdict per result id.  The scan that finds the
 single combinable use runs on masks and cached textual counts.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-import weakref
 
 from repro.analysis.defuse import rewrite_uses
 from repro.ir.flat import (
@@ -32,12 +30,10 @@ from repro.ir.flat import (
     intern_inst,
 )
 from repro.analysis.flat import RV_RID, _cache_of
-from repro.machine.target import Target
 from repro.opt.flat.support import (
     FlatKernel,
     fold_iid,
     is_legal_iid,
-    legal_cache,
     src_info,
     use_counts,
     SRC_COPY,
@@ -51,32 +47,20 @@ _COMBINED_MAX = 1 << 18
 #: iid -> True when the instruction is a no-op self move (rN = rN)
 _SELF_MOVE: Dict[int, bool] = {}
 
-#: per-target fold/self-move result per block: block id -> new tuple of
-#: iids, or ``False`` when the block is already fully folded (pure in
-#: the block content and target, like the LVN cache in ``cse``)
-_FOLDED: "weakref.WeakKeyDictionary[Target, Dict[int, object]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: fold/self-move result per block: block id -> new tuple of iids, or
+#: ``False`` when the block is already fully folded (pure in the block
+#: content, like the LVN cache in ``cse``)
+_FOLDED: Dict[int, object] = {}
 _FOLDED_MAX = 1 << 18
 _MISSING = object()
 
-#: per-target combine decision per (block id, use-count vector of the
+#: combine decision per (block id, use-count vector of the
 #: block's defined registers): the single (def index, use index,
 #: combined iid) action the pass would take, or ``None``.  The scan in
 #: :meth:`InstructionSelectionKernel._combine_in_block` reads only the
 #: block's own instructions plus the *total* textual use count of each
 #: candidate register, so that pair fully determines the outcome.
-_DECISIONS: "weakref.WeakKeyDictionary[Target, Dict[Tuple, object]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _target_cache(store, target: Target) -> Dict:
-    cache = store.get(target)
-    if cache is None:
-        cache = {}
-        store[target] = cache
-    return cache
+_DECISIONS: Dict[Tuple, object] = {}
 
 
 def _is_self_move(iid: int) -> bool:
@@ -118,27 +102,25 @@ def _count_in(iid: int, rid: int) -> int:
 class InstructionSelectionKernel(FlatKernel):
     id = "s"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
-        while self._pass(flat, target):
+        while self._pass(flat):
             changed = True
         return changed
 
-    def _pass(self, flat: FlatFunction, target: Target) -> bool:
+    def _pass(self, flat: FlatFunction) -> bool:
         # Standalone folding first (cheap, enables combinations), and
         # removal of no-op self-moves left behind by collapsed copies.
-        legal = legal_cache(target)
-        fold_cache = _target_cache(_FOLDED, target)
         folded_any = False
         for bi, block in enumerate(flat.blocks):
             bid = block_id(tuple(block))
-            result = fold_cache.get(bid, _MISSING)
+            result = _FOLDED.get(bid, _MISSING)
             if result is _MISSING:
-                new_block = self._fold_block(block, target, legal)
+                new_block = self._fold_block(block)
                 result = tuple(new_block) if new_block is not None else False
-                if len(fold_cache) >= _FOLDED_MAX:
-                    fold_cache.clear()
-                fold_cache[bid] = result
+                if len(_FOLDED) >= _FOLDED_MAX:
+                    _FOLDED.clear()
+                _FOLDED[bid] = result
             if result is not False:
                 flat.blocks[bi] = list(result)
                 folded_any = True
@@ -146,22 +128,19 @@ class InstructionSelectionKernel(FlatKernel):
             flat.invalidate_analyses()
 
         counts = self._count_register_uses(flat)
-        decisions = _target_cache(_DECISIONS, target)
         for block in flat.blocks:
-            if self._combine_in_block(
-                block, flat, target, legal, counts, decisions
-            ):
+            if self._combine_in_block(block, flat, counts):
                 return True
         return folded_any
 
     @staticmethod
-    def _fold_block(block, target: Target, legal) -> Optional[List[int]]:
+    def _fold_block(block) -> Optional[List[int]]:
         """Fold one block; the new instruction list, or None if unchanged."""
         kept = [iid for iid in block if not _is_self_move(iid)]
         changed = len(kept) != len(block)
         for i, iid in enumerate(kept):
             folded = fold_iid(iid)
-            if folded != iid and is_legal_iid(folded, target, legal):
+            if folded != iid and is_legal_iid(folded):
                 kept[i] = folded
                 changed = True
         return kept if changed else None
@@ -187,9 +166,7 @@ class InstructionSelectionKernel(FlatKernel):
             cache.reg_use_counts = counts
         return counts
 
-    def _combine_in_block(
-        self, block, flat, target, legal, counts, cache
-    ) -> bool:
+    def _combine_in_block(self, block, flat, counts) -> bool:
         # The scan reads only this block's instructions and each
         # candidate register's total use count, so the decision is
         # cached per (block id, use-count vector).
@@ -198,12 +175,12 @@ class InstructionSelectionKernel(FlatKernel):
             counts_get(DEF_RID[iid], 0) for iid in block if DEF_RID[iid] >= 0
         )
         key = (block_id(tuple(block)), totals)
-        action = cache.get(key, _MISSING)
+        action = _DECISIONS.get(key, _MISSING)
         if action is _MISSING:
-            action = self._find_combine_action(block, target, legal, counts)
-            if len(cache) >= _FOLDED_MAX:
-                cache.clear()
-            cache[key] = action
+            action = self._find_combine_action(block, counts)
+            if len(_DECISIONS) >= _FOLDED_MAX:
+                _DECISIONS.clear()
+            _DECISIONS[key] = action
         if action is None:
             return False
         i, j, combined = action
@@ -213,7 +190,7 @@ class InstructionSelectionKernel(FlatKernel):
         return True
 
     def _find_combine_action(
-        self, block, target, legal, counts
+        self, block, counts
     ) -> Optional[Tuple[int, int, int]]:
         for i, iid in enumerate(block):
             t = DEF_RID[iid]
@@ -230,7 +207,7 @@ class InstructionSelectionKernel(FlatKernel):
             combined = _combined(iid, block[j])
             if combined < 0:
                 continue
-            if not is_legal_iid(combined, target, legal):
+            if not is_legal_iid(combined):
                 continue
             return (i, j, combined)
         return None

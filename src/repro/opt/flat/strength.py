@@ -1,14 +1,13 @@
 """Flat kernel for phase q — strength reduction.
 
 The multiply expansion itself is the object implementation's
-``expand_multiply``; what the kernel adds is a per-(instruction,
-target) cache of the expansion result as interned ids, so the pattern
+``expand_multiply``; what the kernel adds is a per-instruction cache
+of the expansion result as interned ids, so the pattern
 match and sequence construction happen once per distinct multiply.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.flat import (
@@ -20,30 +19,21 @@ from repro.ir.flat import (
     intern_inst,
 )
 from repro.ir.operands import BinOp, Const, Reg
-from repro.machine.target import Target
 from repro.opt.flat.support import FlatKernel
 from repro.opt.strength_reduction import expand_multiply
 
-_EXPANSIONS: "weakref.WeakKeyDictionary[Target, Dict[int, Optional[Tuple[int, ...]]]]" = (
-    weakref.WeakKeyDictionary()
-)
+_EXPANSIONS: Dict[int, Optional[Tuple[int, ...]]] = {}
 
-#: per-target whole-block expansion: block id -> expanded tuple, or
-#: ``False`` when no instruction in the block is an expandable multiply
-_BLOCKS: "weakref.WeakKeyDictionary[Target, Dict[int, object]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: whole-block expansion: block id -> expanded tuple, or ``False`` when
+#: no instruction in the block is an expandable multiply
+_BLOCKS: Dict[int, object] = {}
 _BLOCKS_MAX = 1 << 18
 _MISSING = object()
 
 
-def _expansion(iid: int, target: Target) -> Optional[Tuple[int, ...]]:
-    cache = _EXPANSIONS.get(target)
-    if cache is None:
-        cache = {}
-        _EXPANSIONS[target] = cache
-    if iid in cache:
-        return cache[iid]
+def _expansion(iid: int) -> Optional[Tuple[int, ...]]:
+    if iid in _EXPANSIONS:
+        return _EXPANSIONS[iid]
     result: Optional[Tuple[int, ...]] = None
     if KIND[iid] == K_ASSIGN:
         inst = INST_OBJS[iid]
@@ -55,39 +45,35 @@ def _expansion(iid: int, target: Target) -> Optional[Tuple[int, ...]]:
             and isinstance(src.right, Const)
             and isinstance(src.right.value, int)
         ):
-            expanded = expand_multiply(inst.dst, src.left, src.right.value, target)
+            expanded = expand_multiply(inst.dst, src.left, src.right.value)
             if expanded is not None:
                 result = tuple(intern_inst(new) for new in expanded)
-    cache[iid] = result
+    _EXPANSIONS[iid] = result
     return result
 
 
 class StrengthReductionKernel(FlatKernel):
     id = "q"
 
-    def run(self, flat: FlatFunction, target: Target) -> bool:
-        cache = _BLOCKS.get(target)
-        if cache is None:
-            cache = {}
-            _BLOCKS[target] = cache
+    def run(self, flat: FlatFunction) -> bool:
         changed = False
         for bi, block in enumerate(flat.blocks):
             bid = block_id(tuple(block))
-            result = cache.get(bid, _MISSING)
+            result = _BLOCKS.get(bid, _MISSING)
             if result is _MISSING:
                 expanded_any = False
                 new_block: List[int] = []
                 for iid in block:
-                    expansion = _expansion(iid, target)
+                    expansion = _expansion(iid)
                     if expansion is None:
                         new_block.append(iid)
                     else:
                         new_block.extend(expansion)
                         expanded_any = True
                 result = tuple(new_block) if expanded_any else False
-                if len(cache) >= _BLOCKS_MAX:
-                    cache.clear()
-                cache[bid] = result
+                if len(_BLOCKS) >= _BLOCKS_MAX:
+                    _BLOCKS.clear()
+                _BLOCKS[bid] = result
             if result is not False:
                 flat.blocks[bi] = list(result)
                 changed = True

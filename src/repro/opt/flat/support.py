@@ -1,7 +1,7 @@
 """Shared per-instruction caches for the flat phase kernels.
 
-Every helper here is a pure function of interned instruction ids (plus
-a target for legality questions), so results are cached globally and
+Every helper here is a pure function of interned instruction ids, so
+results are cached globally and
 amortize across the whole enumeration: the same few thousand distinct
 instructions recur across millions of phase attempts, and rewriting,
 folding, legalizing, or classifying each one is paid once.
@@ -14,7 +14,6 @@ are capped and cleared wholesale on overflow; they refill in one pass.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.defuse import rewrite_registers, rewrite_uses
@@ -38,7 +37,7 @@ from repro.ir.flat import (
 )
 from repro.ir.instructions import Assign, Call, Compare, CondBranch, Jump
 from repro.ir.operands import Const, Expr, Mem, Reg
-from repro.machine.target import ALLOCATABLE, FP, Target
+from repro.machine.target import ALLOCATABLE, DEFAULT_TARGET, FP
 from repro.opt.cse import _legalize, _literal_slot_offset
 from repro.opt.instruction_selection import _fold_instruction
 
@@ -63,7 +62,7 @@ class FlatKernel:
     def applicable(self, flat) -> bool:
         return True
 
-    def run(self, flat, target: Target) -> bool:
+    def run(self, flat) -> bool:
         raise NotImplementedError
 
     def __repr__(self):
@@ -108,46 +107,28 @@ def condbr_iid(relop: str, lid: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Legality and legalization (per target)
+# Legality and legalization
 # ----------------------------------------------------------------------
 
-_LEGAL: "weakref.WeakKeyDictionary[Target, Dict[int, bool]]" = (
-    weakref.WeakKeyDictionary()
-)
-_LEGALIZE: "weakref.WeakKeyDictionary[Target, Dict[int, int]]" = (
-    weakref.WeakKeyDictionary()
-)
+_LEGAL: Dict[int, bool] = {}
+_LEGALIZE: Dict[int, int] = {}
 
 
-def legal_cache(target: Target) -> Dict[int, bool]:
-    cache = _LEGAL.get(target)
-    if cache is None:
-        cache = {}
-        _LEGAL[target] = cache
-    return cache
-
-
-def is_legal_iid(iid: int, target: Target, cache: Optional[Dict[int, bool]] = None) -> bool:
-    if cache is None:
-        cache = legal_cache(target)
-    legal = cache.get(iid)
+def is_legal_iid(iid: int) -> bool:
+    legal = _LEGAL.get(iid)
     if legal is None:
-        legal = target.is_legal(INST_OBJS[iid])
-        cache[iid] = legal
+        legal = DEFAULT_TARGET.is_legal(INST_OBJS[iid])
+        _LEGAL[iid] = legal
     return legal
 
 
-def legalize_iid(iid: int, target: Target) -> int:
+def legalize_iid(iid: int) -> int:
     """``cse._legalize`` over ids: a legal variant's id, or -1."""
-    cache = _LEGALIZE.get(target)
-    if cache is None:
-        cache = {}
-        _LEGALIZE[target] = cache
-    result = cache.get(iid)
+    result = _LEGALIZE.get(iid)
     if result is None:
-        legal = _legalize(INST_OBJS[iid], target)
+        legal = _legalize(INST_OBJS[iid])
         result = intern_inst(legal) if legal is not None else -1
-        cache[iid] = result
+        _LEGALIZE[iid] = result
     return result
 
 
@@ -297,20 +278,3 @@ def use_counts(iid: int) -> Tuple:
     counts = tuple(sorted(tally.items()))
     _USE_COUNTS[iid] = counts
     return counts
-
-
-def reset_support_caches() -> None:
-    """Drop every derived cache (tests / long-lived worker recycling)."""
-    _JUMPS.clear()
-    _CONDBRS.clear()
-    _REWRITE_USES.clear()
-    _REWRITE_REGS.clear()
-    _FOLD.clear()
-    _SRC_INFO.clear()
-    _STORE_SLOT.clear()
-    _EXPR_MEM_SLOTS.clear()
-    _USE_COUNTS.clear()
-    for cache in list(_LEGAL.values()):
-        cache.clear()
-    for cache in list(_LEGALIZE.values()):
-        cache.clear()

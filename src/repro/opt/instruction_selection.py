@@ -30,7 +30,7 @@ from repro.ir.instructions import (
     Return,
 )
 from repro.ir.operands import Expr, Mem, Reg, fold
-from repro.machine.target import RV, Target
+from repro.machine.target import DEFAULT_TARGET, RV
 from repro.opt.base import Phase
 
 
@@ -106,13 +106,13 @@ class InstructionSelection(Phase):
     contract_establishes = ('selection-done',)
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
-        while self._pass(func, target):
+        while self._pass(func):
             changed = True
         return changed
 
-    def _pass(self, func: Function, target: Target) -> bool:
+    def _pass(self, func: Function) -> bool:
         # Standalone folding first (cheap, enables combinations), and
         # removal of no-op self-moves left behind by collapsed copies.
         folded_any = False
@@ -131,7 +131,7 @@ class InstructionSelection(Phase):
                 folded_any = True
             for i, inst in enumerate(block.insts):
                 folded = _fold_instruction(inst)
-                if folded is not inst and folded != inst and target.is_legal(folded):
+                if folded is not inst and folded != inst and DEFAULT_TARGET.is_legal(folded):
                     block.insts[i] = folded
                     folded_any = True
         if folded_any:
@@ -139,11 +139,11 @@ class InstructionSelection(Phase):
 
         use_counts = count_register_uses(func)
         for block in func.blocks:
-            if self._combine_in_block(block, func, target, use_counts):
+            if self._combine_in_block(block, func, use_counts):
                 return True
         return folded_any
 
-    def _combine_in_block(self, block, func, target, use_counts) -> bool:
+    def _combine_in_block(self, block, func, use_counts) -> bool:
         insts = block.insts
         for i, inst in enumerate(insts):
             t = defined_reg(inst)
@@ -162,7 +162,7 @@ class InstructionSelection(Phase):
             if combined == insts[j]:
                 continue
             combined = _fold_instruction(combined)
-            if not target.is_legal(combined):
+            if not DEFAULT_TARGET.is_legal(combined):
                 continue
             insts[j] = combined
             del insts[i]

@@ -17,7 +17,6 @@ from typing import List, Optional
 from repro.analysis.cache import cfg_of, loops_of
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import CondBranch, INVERTED_RELOP, Jump
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 #: headers with more instructions than this are not duplicated
@@ -33,7 +32,7 @@ class MinimizeLoopJumps(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         while self._apply_once(func):
             changed = True

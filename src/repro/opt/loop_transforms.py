@@ -42,7 +42,7 @@ from repro.ir.instructions import (
     Jump,
 )
 from repro.ir.operands import BinOp, Const, Expr, Mem, Reg
-from repro.machine.target import ALLOCATABLE, FP, Target
+from repro.machine.target import ALLOCATABLE, DEFAULT_TARGET, FP
 from repro.opt.base import Phase
 
 _TRAPPING_OPS = frozenset({"div", "rem", "fdiv"})
@@ -124,24 +124,24 @@ class LoopTransformations(Phase):
     def applicable(self, func: Function) -> bool:
         return func.alloc_applied
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
-        while self._apply_once(func, target):
+        while self._apply_once(func):
             changed = True
         return changed
 
-    def _apply_once(self, func: Function, target: Target) -> bool:
+    def _apply_once(self, func: Function) -> bool:
         loops = loops_of(func)
         for loop in loops:  # innermost first
-            if self._transform_loop(func, target, loop):
+            if self._transform_loop(func, loop):
                 return True
         return False
 
-    def _transform_loop(self, func: Function, target: Target, loop: Loop) -> bool:
+    def _transform_loop(self, func: Function, loop: Loop) -> bool:
         info = _LoopInfo(func, loop)
         if self._licm_once(func, loop, info):
             return True
-        if self._strength_reduce(func, target, loop, info):
+        if self._strength_reduce(func, loop, info):
             return True
         return False
 
@@ -206,7 +206,7 @@ class LoopTransformations(Phase):
     # ------------------------------------------------------------------
 
     def _strength_reduce(
-        self, func: Function, target: Target, loop: Loop, info: _LoopInfo
+        self, func: Function, loop: Loop, info: _LoopInfo
     ) -> bool:
         dom = dominators_of(func)
         bivs = self._basic_ivs(info, dom, loop)
@@ -216,7 +216,7 @@ class LoopTransformations(Phase):
             candidates = self._derived_candidates(info, reg)
             if not candidates:
                 continue
-            if self._reduce_biv(func, target, loop, info, reg, step, candidates):
+            if self._reduce_biv(func, loop, info, reg, step, candidates):
                 return True
         return False
 
@@ -293,7 +293,6 @@ class LoopTransformations(Phase):
     def _reduce_biv(
         self,
         func: Function,
-        target: Target,
         loop: Loop,
         info: _LoopInfo,
         biv: Reg,
@@ -307,7 +306,7 @@ class LoopTransformations(Phase):
 
         # Check immediate legality of every inserted step first.
         for __, __, __, multiplier, __ in candidates:
-            if abs(step * multiplier) > target.alu_imm_limit:
+            if abs(step * multiplier) > DEFAULT_TARGET.alu_imm_limit:
                 return False
 
         preheader = ensure_preheader(func, loop)
@@ -331,7 +330,7 @@ class LoopTransformations(Phase):
         ]
         bump_block.insts[bump_at + 1 : bump_at + 1] = bumps
 
-        self._try_eliminate_biv(func, target, loop, biv, new_regs, preheader)
+        self._try_eliminate_biv(func, loop, biv, new_regs, preheader)
         func.invalidate_analyses()
         return True
 
@@ -363,7 +362,6 @@ class LoopTransformations(Phase):
     def _try_eliminate_biv(
         self,
         func: Function,
-        target: Target,
         loop: Loop,
         biv: Reg,
         new_regs: List[Tuple[Reg, int, Optional[Reg]]],
@@ -439,7 +437,7 @@ class LoopTransformations(Phase):
         init: List[Instruction]
         if isinstance(bound, Const):
             scaled = bound.value * multiplier
-            if abs(scaled) > target.alu_imm_limit:
+            if abs(scaled) > DEFAULT_TARGET.alu_imm_limit:
                 init = None
             else:
                 init = [Assign(q, Const(scaled))]

@@ -24,7 +24,6 @@ from repro.analysis.cache import loops_of
 from repro.analysis.loops import Loop
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import CondBranch, Jump
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 #: loops with more instructions than this are not unrolled
@@ -43,7 +42,7 @@ class LoopUnrolling(Phase):
     def applicable(self, func: Function) -> bool:
         return func.alloc_applied
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         while self._apply_once(func):
             changed = True

@@ -26,7 +26,7 @@ from repro.analysis.cache import liveness_of, slot_liveness_of
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Instruction
 from repro.ir.operands import Mem, Reg
-from repro.machine.target import ALLOCATABLE, Target
+from repro.machine.target import ALLOCATABLE
 from repro.opt.base import Phase
 
 
@@ -42,7 +42,7 @@ class RegisterAllocation(Phase):
     def applicable(self, func: Function) -> bool:
         return func.sel_applied
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         slot_liveness = slot_liveness_of(func)
         frame_refs = slot_liveness.frame_refs
         if frame_refs.has_wild:

@@ -20,7 +20,7 @@ from repro.analysis.defuse import rewrite_registers
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Instruction
 from repro.ir.operands import BinOp, Const, Mem, Reg
-from repro.machine.target import ALLOCATABLE, FP, Target
+from repro.machine.target import ALLOCATABLE, FP
 
 _MAX_SPILL_ROUNDS = 25
 
@@ -34,7 +34,7 @@ CONTRACT = {
 }
 
 
-def assign_registers(func: Function, target: Target) -> None:
+def assign_registers(func: Function) -> None:
     """Replace every pseudo register in *func* with a hardware register."""
     for _ in range(_MAX_SPILL_ROUNDS):
         coloring, spilled = _try_color(func)

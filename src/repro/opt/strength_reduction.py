@@ -18,7 +18,7 @@ from typing import List, Optional
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Instruction
 from repro.ir.operands import BinOp, Const, Reg, UnOp
-from repro.machine.target import Target
+from repro.machine.target import DEFAULT_TARGET
 from repro.opt.base import Phase
 
 
@@ -34,7 +34,7 @@ def _set_bits(value: int) -> List[int]:
     return bits
 
 
-def expand_multiply(dst: Reg, src: Reg, constant: int, target: Target) -> Optional[List[Instruction]]:
+def expand_multiply(dst: Reg, src: Reg, constant: int) -> Optional[List[Instruction]]:
     """Shift/add sequence computing ``dst = src * constant``, or None.
 
     Requires ``dst != src`` (the destination doubles as accumulator).
@@ -47,7 +47,7 @@ def expand_multiply(dst: Reg, src: Reg, constant: int, target: Target) -> Option
     magnitude = -constant if negative else constant
     bits = _set_bits(magnitude)
     cost = len(bits) + (1 if negative else 0)
-    if cost >= target.MUL_COST:
+    if cost >= DEFAULT_TARGET.MUL_COST:
         return None
     first, rest = bits[0], bits[1:]
     insts: List[Instruction] = []
@@ -76,12 +76,12 @@ class StrengthReduction(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         for block in func.blocks:
             new_insts: List[Instruction] = []
             for inst in block.insts:
-                expansion = self._try_expand(inst, target)
+                expansion = self._try_expand(inst)
                 if expansion is None:
                     new_insts.append(inst)
                 else:
@@ -93,7 +93,7 @@ class StrengthReduction(Phase):
         return changed
 
     @staticmethod
-    def _try_expand(inst: Instruction, target: Target) -> Optional[List[Instruction]]:
+    def _try_expand(inst: Instruction) -> Optional[List[Instruction]]:
         if not isinstance(inst, Assign) or not isinstance(inst.dst, Reg):
             return None
         src = inst.src
@@ -104,5 +104,5 @@ class StrengthReduction(Phase):
             and isinstance(src.right, Const)
             and isinstance(src.right.value, int)
         ):
-            return expand_multiply(inst.dst, src.left, src.right.value, target)
+            return expand_multiply(inst.dst, src.left, src.right.value)
         return None

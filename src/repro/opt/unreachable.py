@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from repro.analysis.cache import cfg_of
 from repro.ir.function import Function
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 
@@ -21,7 +20,7 @@ class RemoveUnreachableCode(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         cfg = cfg_of(func)
         reachable = cfg.reachable(func.entry.label)
         if all(block.label in reachable for block in func.blocks):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from repro.ir.function import Function
 from repro.ir.instructions import CondBranch, Jump
-from repro.machine.target import Target
 from repro.opt.base import Phase
 
 
@@ -21,7 +20,7 @@ class RemoveUselessJumps(Phase):
     contract_establishes = ()
     contract_breaks = ()
 
-    def run(self, func: Function, target: Target) -> bool:
+    def run(self, func: Function) -> bool:
         changed = False
         for i, block in enumerate(func.blocks[:-1]):
             term = block.terminator()

@@ -42,7 +42,6 @@ from repro.core.enumeration import (
 )
 from repro.core.fingerprint import fingerprint_function
 from repro.ir.function import Function
-from repro.machine.target import DEFAULT_TARGET
 from repro.observability import manifest as manifest_mod
 from repro.observability.tracer import Tracer
 from repro.opt import implicit_cleanup
@@ -113,8 +112,8 @@ class ParallelConfig:
         self.chaos = chaos
         self.start_method = start_method
         #: observability tracer (journal + manifest); caller-owned.
-        #: When None and a run_dir is set (without a legacy journaling
-        #: reporter), the coordinator builds and owns one.
+        #: When None and a run_dir is set, the coordinator builds and
+        #: owns one.
         self.tracer = tracer
 
     def resolve_start_method(self) -> str:
@@ -218,14 +217,9 @@ class ParallelEnumerator:
             os.makedirs(self.parallel.run_dir, exist_ok=True)
         self._tracer = self.parallel.tracer
         self._owns_tracer = False
-        reporter = self.parallel.progress
-        if (
-            self._tracer is None
-            and self.parallel.run_dir
-            and (reporter is None or reporter.jsonl_path is None)
-        ):
-            # No caller-provided tracer and no legacy journal-owning
-            # reporter: give the run dir its journal + manifest here.
+        if self._tracer is None and self.parallel.run_dir:
+            # No caller-provided tracer: give the run dir its journal +
+            # manifest here.
             self._tracer = self._build_tracer()
             self._owns_tracer = True
 
@@ -261,8 +255,6 @@ class ParallelEnumerator:
                 "use ParallelConfig(run_dir=..., resume=...) instead of "
                 "EnumerationConfig checkpointing for parallel runs"
             )
-        if config.target is not DEFAULT_TARGET:
-            raise ValueError("parallel workers only support the default target")
 
     def enumerate(
         self, requests: Sequence[EnumerationRequest]

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.ir.function import Function, Program
 from repro.ir.validate import IRValidationError, validate_ir
-from repro.machine.target import DEFAULT_TARGET, Target
+from repro.machine.target import DEFAULT_TARGET
 from repro.observability import tracer as _obs
 from repro.opt import Phase, attempt_phase_on_clone
 from repro.robustness.faults import FaultInjector, InjectedFault
@@ -167,7 +167,7 @@ class GuardedPhaseRunner:
     """Apply phases through the full guard stack.
 
     Drop-in for :func:`repro.opt.attempt_phase_on_clone`:
-    ``runner.apply(func, phase, target)`` returns the accepted candidate
+    ``runner.apply(func, phase)`` returns the accepted candidate
     (a clone of *func* with the phase applied), or ``None`` when the
     phase was dormant or any guard rejected it.  *func* is never
     mutated, and at most one clone is made — none for an illegal phase.
@@ -175,7 +175,6 @@ class GuardedPhaseRunner:
 
     def __init__(
         self,
-        target: Optional[Target] = None,
         validate: bool = True,
         difftest: Optional[DifferentialTester] = None,
         phase_timeout: Optional[float] = None,
@@ -183,7 +182,6 @@ class GuardedPhaseRunner:
         quarantine: Optional[QuarantineLog] = None,
         sanitizer=None,
     ):
-        self.target = target or DEFAULT_TARGET
         self.validate = validate
         self.difftest = difftest
         self.phase_timeout = phase_timeout
@@ -202,11 +200,9 @@ class GuardedPhaseRunner:
         self,
         func: Function,
         phase: Phase,
-        target: Optional[Target] = None,
         node_key: Optional[str] = None,
         level: Optional[int] = None,
     ) -> Optional[Function]:
-        target = target or self.target
         self.guarded_applications += 1
         injected = (
             self.fault_injector is not None
@@ -233,7 +229,7 @@ class GuardedPhaseRunner:
                         candidate, phase.id, self.phase_timeout
                     )
                 else:
-                    candidate = attempt_phase_on_clone(func, phase, target)
+                    candidate = attempt_phase_on_clone(func, phase)
         except PhaseTimeout as error:
             self._record(phase, "timeout", str(error), node_key, level)
             return None
@@ -283,7 +279,7 @@ class GuardedPhaseRunner:
         # the validator catching it.
         if self.validate or injected:
             try:
-                validate_ir(candidate, target)
+                validate_ir(candidate, DEFAULT_TARGET)
             except IRValidationError as error:
                 self._record(
                     phase,

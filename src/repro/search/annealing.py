@@ -12,10 +12,9 @@ scale-free), and the temperature cools geometrically.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.ir.function import Function
-from repro.machine.target import Target
 from repro.opt import PHASE_IDS
 from repro.search.common import SearchResult, SearchStrategy, codesize_objective
 
@@ -34,14 +33,12 @@ class SimulatedAnnealer(SearchStrategy):
         start_temperature: float = 0.10,
         cooling: float = 0.97,
         seed: int = 2006,
-        target: Optional[Target] = None,
     ):
         super().__init__(
             func,
             objective,
             sequence_length=sequence_length,
             seed=seed,
-            target=target,
         )
         self.steps = steps
         self.start_temperature = start_temperature

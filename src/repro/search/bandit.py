@@ -23,10 +23,9 @@ bit-identical :class:`~repro.search.common.SearchResult`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.ir.function import Function
-from repro.machine.target import Target
 from repro.opt import PHASE_IDS
 from repro.search.common import SearchResult, SearchStrategy, codesize_objective
 
@@ -46,7 +45,6 @@ class BanditSearcher(SearchStrategy):
         epsilon: float = 0.15,
         exploration: float = 1.2,
         seed: int = 2006,
-        target: Optional[Target] = None,
     ):
         if policy not in POLICIES:
             raise ValueError(
@@ -57,7 +55,6 @@ class BanditSearcher(SearchStrategy):
             objective,
             sequence_length=sequence_length,
             seed=seed,
-            target=target,
         )
         self.episodes = episodes
         self.policy = policy

@@ -30,11 +30,10 @@ name is re-exported there and here for backward compatibility.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.fingerprint import fingerprint_function
 from repro.ir.function import Function
-from repro.machine.target import DEFAULT_TARGET, Target
 from repro.opt import PHASE_IDS, apply_phase, phase_by_id
 
 
@@ -144,14 +143,12 @@ class SearchStrategy:
         objective: Callable[[Function], float] = codesize_objective,
         sequence_length: int = 12,
         seed: int = 2006,
-        target: Optional[Target] = None,
     ):
         self.base = func.clone()
         self.objective = objective
         self.sequence_length = sequence_length
         self.seed = seed
         self.rng = random.Random(seed)
-        self.target = target or DEFAULT_TARGET
         self._fitness_by_instance: Dict[object, float] = {}
         self.evaluations = 0
         self.cache_hits = 0
@@ -166,7 +163,7 @@ class SearchStrategy:
         func = self.base.clone()
         for phase_id in sequence:
             self.attempted_phases += 1
-            apply_phase(func, phase_by_id(phase_id), self.target)
+            apply_phase(func, phase_by_id(phase_id))
         return func
 
     def _score(self, func: Function) -> float:

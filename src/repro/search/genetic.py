@@ -30,7 +30,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.interactions import InteractionAnalysis
 from repro.ir.function import Function
-from repro.machine.target import Target
 from repro.opt import PHASE_IDS
 from repro.search.common import (  # noqa: F401  (re-exports)
     GeneticSearchResult,
@@ -62,14 +61,12 @@ class GeneticSearcher(SearchStrategy):
         elite: int = 2,
         seed: int = 2006,
         interactions: Optional[InteractionAnalysis] = None,
-        target: Optional[Target] = None,
     ):
         super().__init__(
             func,
             objective,
             sequence_length=sequence_length,
             seed=seed,
-            target=target,
         )
         self.population_size = population_size
         self.generations = generations

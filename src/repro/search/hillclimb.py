@@ -10,10 +10,9 @@ fingerprint-cached like the GA's, and restarts escape local minima.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.ir.function import Function
-from repro.machine.target import Target
 from repro.opt import PHASE_IDS
 from repro.search.common import (  # noqa: F401  (GeneticSearchResult kept importable here)
     GeneticSearchResult,
@@ -36,14 +35,12 @@ class HillClimber(SearchStrategy):
         restarts: int = 4,
         max_steps: int = 40,
         seed: int = 2006,
-        target: Optional[Target] = None,
     ):
         super().__init__(
             func,
             objective,
             sequence_length=sequence_length,
             seed=seed,
-            target=target,
         )
         self.restarts = restarts
         self.max_steps = max_steps

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.interactions import InteractionAnalysis
 from repro.ir.function import Function
-from repro.machine.target import Target
 from repro.opt import PHASE_IDS, apply_phase, phase_by_id
 from repro.search.common import SearchResult, SearchStrategy, codesize_objective
 
@@ -41,9 +40,8 @@ class TableDrivenPolicy(SearchStrategy):
         max_steps: int = 40,
         threshold: float = 0.0,
         seed: int = 2006,
-        target: Optional[Target] = None,
     ):
-        super().__init__(func, objective, seed=seed, target=target)
+        super().__init__(func, objective, seed=seed)
         self.interactions = interactions
         self.rollouts = rollouts
         self.max_steps = max_steps
@@ -78,7 +76,7 @@ class TableDrivenPolicy(SearchStrategy):
                 break
             self.attempted_phases += 1
             applied.append(best)
-            was_active = apply_phase(func, phase_by_id(best), self.target)
+            was_active = apply_phase(func, phase_by_id(best))
             if was_active:
                 # Figure 8's update rule:
                 #   p[i] += (1 - p[i]) * e[i][j] - p[i] * d[i][j]

@@ -10,10 +10,9 @@ and keeps the best.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.ir.function import Function
-from repro.machine.target import Target
 from repro.search.common import SearchResult, SearchStrategy, codesize_objective
 
 
@@ -29,14 +28,12 @@ class RandomSampler(SearchStrategy):
         sequence_length: int = 12,
         samples: int = 120,
         seed: int = 2006,
-        target: Optional[Target] = None,
     ):
         super().__init__(
             func,
             objective,
             sequence_length=sequence_length,
             seed=seed,
-            target=target,
         )
         self.samples = samples
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.opt import PHASE_IDS
 from repro.programs import PROGRAMS
@@ -215,9 +215,3 @@ def work_key(normalized: Dict[str, object]) -> str:
         json.dumps(normalized, sort_keys=True).encode("utf-8")
     ).hexdigest()
     return f"{normalized['kind']}-{digest[:16]}"
-
-
-def split_key(key: str) -> Tuple[str, str]:
-    """(kind, digest) halves of a work key."""
-    kind, _, digest = key.partition("-")
-    return kind, digest

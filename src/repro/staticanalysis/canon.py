@@ -23,9 +23,9 @@ own constant folding:
   memory log, and the log's load/call positions are renumbered.
 
 The summary digest is an *index*, never a proof.  Colliding instances
-are only merged after :func:`prove_semantic_equivalent` (a block-level
-simulation identical to transval's ``_prove`` but comparing normalized
-observables) or, failing that, seeded VM co-execution agrees.  An
+are only merged after :func:`prove_semantic_equivalent` (transval's
+block-level simulation ``_prove``, comparing normalized observables)
+or, failing that, seeded VM co-execution agrees.  An
 unproven or refuted collision **always stays split** — the enumerator
 never merges on hash alone.
 """
@@ -46,6 +46,7 @@ from repro.staticanalysis.transval import (
     _frame_shape,
     _make_linear,
     _NotProvable,
+    _prove,
     _SymState,
 )
 
@@ -248,11 +249,11 @@ def semantic_key(func: Function) -> Optional[str]:
 def prove_semantic_equivalent(before: Function, after: Function) -> bool:
     """Block-level simulation proof under canonical observables.
 
-    Same skeleton as transval's ``_prove`` — a simulation from the
-    entry pair requiring matching successor counts and branch senses —
-    but block effects are compared after dead-store normalization, so
-    instances that differ by provably-dead stores (or by anything the
-    symbolic evaluator already canonicalizes) still prove equal.
+    Transval's ``_prove`` — a simulation from the entry pair requiring
+    matching successor counts and branch senses — with block effects
+    compared after dead-store normalization, so instances that differ
+    by provably-dead stores (or by anything the symbolic evaluator
+    already canonicalizes) still prove equal.
     False means *unknown*, never *different*.
     """
     try:
@@ -266,12 +267,6 @@ def prove_semantic_equivalent(before: Function, after: Function) -> bool:
 
 
 def _prove_canonical(before: Function, after: Function) -> bool:
-    if before.returns_value != after.returns_value:
-        return False
-    if len(before.params) != len(after.params):
-        return False
-    if _frame_shape(before) != _frame_shape(after):
-        return False
     # Phase legality must survive the merge: a node stands for its
     # whole class, including which phases are attemptable on it.
     if (
@@ -281,57 +276,7 @@ def _prove_canonical(before: Function, after: Function) -> bool:
         or set(before.unrolled) != set(after.unrolled)
     ):
         return False
-    cfg_a = cfg_of(before)
-    cfg_b = cfg_of(after)
-    live_a = liveness_of(before)
-    live_b = liveness_of(after)
-    from repro.ir.instructions import CondBranch
-
-    entry_pair = (before.entry.label, after.entry.label)
-    mapping: Dict[str, str] = {entry_pair[0]: entry_pair[1]}
-    queue = [entry_pair]
-    visited = set()
-    while queue:
-        label_a, label_b = queue.pop()
-        if (label_a, label_b) in visited:
-            continue
-        visited.add((label_a, label_b))
-        block_a = before.block(label_a)
-        block_b = after.block(label_b)
-        term_a = block_a.terminator()
-        term_b = block_b.terminator()
-        succs_a = cfg_a.succs.get(label_a, [])
-        succs_b = cfg_b.succs.get(label_b, [])
-        if len(succs_a) != len(succs_b):
-            return False
-        if len(succs_a) == 2:
-            if not isinstance(term_a, CondBranch) or not isinstance(
-                term_b, CondBranch
-            ):
-                return False
-            if term_a.relop != term_b.relop:
-                return False
-        state_a = _SymState(before.returns_value)
-        state_b = _SymState(after.returns_value)
-        for inst in block_a.insts:
-            state_a.execute(inst)
-        for inst in block_b.insts:
-            state_b.execute(inst)
-        live_out = live_a.live_out.get(label_a, frozenset()) | live_b.live_out.get(
-            label_b, frozenset()
-        )
-        if _normalize_observables(
-            state_a.observables(live_out, term_a)
-        ) != _normalize_observables(state_b.observables(live_out, term_b)):
-            return False
-        for succ_a, succ_b in zip(succs_a, succs_b):
-            mapped = mapping.get(succ_a)
-            if mapped is None:
-                mapping[succ_a] = succ_b
-            elif mapped != succ_b:
-                return False
-            queue.append((succ_a, succ_b))
-    return True
+    return _prove(before, after, normalize=_normalize_observables)
 
 
 # ----------------------------------------------------------------------

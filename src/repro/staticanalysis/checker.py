@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.ir.function import Function, Program
-from repro.machine.target import DEFAULT_TARGET, Target
 from repro.staticanalysis import contracts as contracts_mod
 from repro.staticanalysis import sanitize as sanitize_mod
 from repro.staticanalysis.transval import (
@@ -48,7 +47,6 @@ class EdgeChecker:
     def __init__(
         self,
         mode: str = sanitize_mod.FAST,
-        target: Optional[Target] = None,
         program: Optional[Program] = None,
         entry: Optional[str] = None,
     ):
@@ -57,7 +55,6 @@ class EdgeChecker:
                 f"unknown sanitizer mode {mode!r} (expected fast|full)"
             )
         self.mode = mode
-        self.target = target or DEFAULT_TARGET
         self.program = program
         self.transval: Optional[TranslationValidator] = None
         if mode == sanitize_mod.FULL:
@@ -84,7 +81,7 @@ class EdgeChecker:
         self.counters["edges"] += 1
         self.last_verdict = None
         findings = sanitize_mod.sanitize_function(
-            after, self.target, self.program, self.mode
+            after, self.program, self.mode
         )
         if findings:
             self.counters["findings"] += len(findings)

@@ -488,7 +488,6 @@ def frame_bounds_findings(func: Function, cfg: Optional[CFG] = None) -> List[Fin
 
 def sanitize_function(
     func: Function,
-    target: Optional[Target] = None,
     program: Optional[Program] = None,
     mode: str = FULL,
 ) -> List[Finding]:
@@ -501,12 +500,10 @@ def sanitize_function(
     """
     if mode not in MODES:
         raise ValueError(f"unknown sanitizer mode {mode!r} (expected fast|full)")
-    if target is None:
-        target = DEFAULT_TARGET
     findings = structural_findings(func, program)
     if findings:
         return findings
-    findings.extend(machine_findings(func, target))
+    findings.extend(machine_findings(func, DEFAULT_TARGET))
     findings.extend(frame_layout_findings(func))
     findings.extend(dangling_entry_findings(func))
     if program is not None:
@@ -523,11 +520,10 @@ def sanitize_function(
 
 def sanitize_program(
     program: Program,
-    target: Optional[Target] = None,
     mode: str = FULL,
 ) -> List[Finding]:
     """Sanitize every function of *program*, in definition order."""
     findings: List[Finding] = []
     for func in program.functions.values():
-        findings.extend(sanitize_function(func, target, program, mode))
+        findings.extend(sanitize_function(func, program, mode))
     return findings

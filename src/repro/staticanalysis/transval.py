@@ -297,7 +297,17 @@ def prove_equivalent(before: Function, after: Function, oracle=None) -> bool:
         return False
 
 
-def _prove(before: Function, after: Function, oracle=None) -> bool:
+def _prove(
+    before: Function, after: Function, oracle=None, normalize=None
+) -> bool:
+    """Simulate *before* and *after* block by block from the entry pair.
+
+    Paired blocks must agree on successor count, branch sense and
+    live-out observables, and the pairing must be a function of the
+    labels.  *oracle* feeds the symbolic states' store-skipping test;
+    *normalize*, when given, maps each block's observables before they
+    are compared (canon's dead-store normalization).
+    """
     if before.returns_value != after.returns_value:
         return False
     if len(before.params) != len(after.params):
@@ -343,9 +353,11 @@ def _prove(before: Function, after: Function, oracle=None) -> bool:
         live_out = live_a.live_out.get(label_a, frozenset()) | live_b.live_out.get(
             label_b, frozenset()
         )
-        if state_a.observables(live_out, term_a) != state_b.observables(
-            live_out, term_b
-        ):
+        seen_a = state_a.observables(live_out, term_a)
+        seen_b = state_b.observables(live_out, term_b)
+        if normalize is not None:
+            seen_a, seen_b = normalize(seen_a), normalize(seen_b)
+        if seen_a != seen_b:
             return False
         for succ_a, succ_b in zip(succs_a, succs_b):
             mapped = mapping.get(succ_a)

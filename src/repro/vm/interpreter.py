@@ -32,7 +32,7 @@ from repro.ir.instructions import (
     Return,
 )
 from repro.ir.operands import BinOp, Const, Expr, Mem, Reg, Sym, UnOp
-from repro.machine.target import DEFAULT_TARGET, Target
+from repro.machine.target import DEFAULT_TARGET
 
 Number = Union[int, float]
 
@@ -87,12 +87,10 @@ class Interpreter:
     def __init__(
         self,
         program: Program,
-        target: Optional[Target] = None,
         fuel: int = 10_000_000,
         profile_blocks: bool = False,
     ):
         self.program = program
-        self.target = target or DEFAULT_TARGET
         self.fuel = fuel
         self.memory: Dict[int, Number] = {}
         self._init_globals()
@@ -166,7 +164,7 @@ class Interpreter:
             for inst in block.insts:
                 self.total_insts += 1
                 count += 1
-                self.cycles += self.target.cost(inst)
+                self.cycles += DEFAULT_TARGET.cost(inst)
                 if self.total_insts > self.fuel:
                     self.per_function[func.name] = count
                     raise VMFuelExhausted(

@@ -17,8 +17,12 @@ Four invariants on top of the canon-layer tests:
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.core.checkpoint import dag_to_dict
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.dag import materialize_instances
 from repro.frontend import compile_source
@@ -164,6 +168,46 @@ class TestSemanticCollapse:
         )
         assert dag_snapshot(again.dag) == dag_snapshot(rol_semantic.dag)
         assert again.collapse_stats == rol_semantic.collapse_stats
+
+
+class TestPinnedSemanticSpaces:
+    """Semantic spaces pinned value for value: the collapse counters
+    and the DAG digest.  Every merge here is proved, so this pins the
+    block-simulation prover shared with the translation validator."""
+
+    @pytest.mark.parametrize(
+        "bench,name,instances,stats,digest",
+        [
+            (
+                "sha", "rol", 66,
+                {"candidates": 58, "merged_proved": 2, "merged_tested": 0,
+                 "split_unproven": 0, "split_cycle": 33, "split_size": 23,
+                 "refuted": 0, "uncanonical": 0, "merged": 2, "classes": 10},
+                "0b7a505574179502197818c351d8ec19320c7d766c3e691b91a28fff79f08bb0",
+            ),
+            (
+                "jpeg", "descale", 32,
+                {"candidates": 24, "merged_proved": 2, "merged_tested": 0,
+                 "split_unproven": 0, "split_cycle": 11, "split_size": 11,
+                 "refuted": 0, "uncanonical": 0, "merged": 2, "classes": 10},
+                "c977377ab159e6a3d145b439b200fcd114b0c76d17f5c859a25ef372260a84d8",
+            ),
+        ],
+    )
+    def test_semantic_enumeration_pinned(
+        self, bench, name, instances, stats, digest
+    ):
+        program, func = bench_function(bench, name)
+        result = enumerate_space(
+            func, EnumerationConfig(collapse="semantic", program=program)
+        )
+        payload = json.dumps(
+            dag_to_dict(result.dag), sort_keys=True, separators=(",", ":")
+        )
+        assert result.completed
+        assert len(result.dag) == instances
+        assert result.collapse_stats == stats
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 class TestCheckpointResume:

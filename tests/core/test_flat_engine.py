@@ -101,9 +101,9 @@ class TestEngineGate:
             def __getattr__(self, attr):
                 return getattr(stock, attr)
 
-            def run(self, func, target=None):
+            def run(self, func):
                 calls.append(func.name)
-                return stock.run(func, target)
+                return stock.run(func)
 
         func = compile_fn(MAXI_SRC, "maxi")
         phases = tuple(

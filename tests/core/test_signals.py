@@ -59,9 +59,9 @@ class _SignalingPhase(Phase):
     def applicable(self, func):
         return self.wrapped.applicable(func)
 
-    def run(self, func, target):
+    def run(self, func):
         self.switch.tick()
-        return self.wrapped.run(func, target)
+        return self.wrapped.run(func)
 
 
 @pytest.fixture

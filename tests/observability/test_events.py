@@ -85,3 +85,11 @@ def test_every_schema_entry_names_its_required_fields():
     for name, required in EVENT_SCHEMA.items():
         assert isinstance(name, str) and name
         assert all(isinstance(field, str) for field in required)
+
+
+def test_jsonl_log_is_utf8(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with EventStream(str(path)) as stream:
+        stream.emit("function_done", function="smålänning", wall=0.1)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["function"] == "smålänning"

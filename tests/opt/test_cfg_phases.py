@@ -9,12 +9,12 @@ from repro.ir.instructions import (
     Return,
 )
 from repro.ir.operands import BinOp, Const, Reg
-from repro.machine.target import DEFAULT_TARGET, RV
+from repro.machine.target import RV
 from repro.opt import phase_by_id
 
 
 def run_phase(func, phase_id):
-    return phase_by_id(phase_id).run(func, DEFAULT_TARGET)
+    return phase_by_id(phase_id).run(func)
 
 
 def labels(func):

@@ -3,7 +3,7 @@
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Reg
-from repro.machine.target import DEFAULT_TARGET, RV
+from repro.machine.target import RV
 from repro.opt import phase_by_id
 
 N = phase_by_id("n")
@@ -30,7 +30,7 @@ class TestCrossJumping:
             [Assign(R(3), Const(1))] + shared,
             [Assign(R(3), Const(2))] + shared,
         )
-        assert N.run(func, DEFAULT_TARGET)
+        assert N.run(func)
         join = func.block("join")
         assert join.insts[0] == shared[0]
         assert shared[0] not in func.block("then").insts
@@ -41,7 +41,7 @@ class TestCrossJumping:
             [Assign(R(2), Const(1))],
             [Assign(R(2), Const(2))],
         )
-        assert not N.run(func, DEFAULT_TARGET)
+        assert not N.run(func)
 
     def test_conditional_predecessor_blocks_cross_jump(self):
         # A predecessor reaching the join via a conditional branch
@@ -54,7 +54,7 @@ class TestCrossJumping:
         entry.insts = [shared, Compare(R(1), Const(0)), CondBranch("eq", "join")]
         other.insts = [shared]
         join.insts = [Assign(RV, R(2)), Return()]
-        assert not N.run(func, DEFAULT_TARGET)
+        assert not N.run(func)
 
     def test_semantics_preserved(self):
         from repro.ir.function import Program
@@ -68,7 +68,7 @@ class TestCrossJumping:
                 [Assign(R(3), Const(2))] + shared,
             )
             if transform:
-                assert N.run(func, DEFAULT_TARGET)
+                assert N.run(func)
             program = Program()
             program.add_function(func)
             for r1 in (0, 1):
@@ -93,7 +93,7 @@ class TestHoisting:
     def test_identical_first_instruction_hoisted(self):
         shared = Assign(R(5), BinOp("add", R(6), Const(1)))
         func = self.make(shared, shared)
-        assert N.run(func, DEFAULT_TARGET)
+        assert N.run(func)
         entry = func.block("entry")
         # inserted between the compare and the branch
         assert entry.insts[1] == shared
@@ -105,11 +105,11 @@ class TestHoisting:
         func = self.make(shared, shared)
         func.block("fall").insts.insert(1, CondBranch("lt", "taken"))
         # would clobber the branch's condition code
-        assert not N.run(func, DEFAULT_TARGET)
+        assert not N.run(func)
 
     def test_different_first_instructions_untouched(self):
         func = self.make(Assign(R(5), Const(1)), Assign(R(5), Const(2)))
-        assert not N.run(func, DEFAULT_TARGET)
+        assert not N.run(func)
 
     def test_successor_with_extra_predecessor_blocks_hoist(self):
         shared = Assign(R(5), Const(1))
@@ -117,4 +117,4 @@ class TestHoisting:
         func.add_block("extra").insts = [Jump("taken")]
         func.blocks[-1], func.blocks[-2] = func.blocks[-2], func.blocks[-1]
         # rebuild positions: ensure extra jumps into taken
-        assert not N.run(func, DEFAULT_TARGET)
+        assert not N.run(func)

@@ -3,7 +3,7 @@
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Call, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg
-from repro.machine.target import DEFAULT_TARGET, FP, RV
+from repro.machine.target import FP, RV
 from repro.opt import apply_phase, phase_by_id
 
 C = phase_by_id("c")
@@ -28,7 +28,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(1), R(2))),
             ]
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert func.blocks[0].insts[1] == Assign(R(2), R(1))
 
     def test_operand_redefinition_invalidates(self):
@@ -40,7 +40,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(1), R(2))),
             ]
         )
-        C.run(func, DEFAULT_TARGET)
+        C.run(func)
         # r2's computation must not be replaced by a copy of r1 (r4
         # changed in between); constant propagation of r4=0 is fine.
         assert Assign(R(2), R(1)) not in func.blocks[0].insts
@@ -52,7 +52,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("mul", R(2), R(1))),
             ]
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(RV, BinOp("mul", R(2), Const(4))) in func.blocks[0].insts
 
     def test_copy_propagation(self):
@@ -62,7 +62,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(1), Const(1))),
             ]
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(RV, BinOp("add", R(5), Const(1))) in func.blocks[0].insts
 
     def test_figure3_constant_propagation_without_folding(self):
@@ -75,7 +75,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(3), R(2))),
             ]
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(R(3), BinOp("add", R(4), Const(1))) in func.blocks[0].insts
 
     def test_commutative_swap_legalizes_constant(self):
@@ -86,7 +86,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(1), R(2))),
             ]
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(RV, BinOp("add", R(2), Const(5))) in func.blocks[0].insts
 
     def test_redundant_load_elimination(self):
@@ -100,7 +100,7 @@ class TestLocalValueNumbering:
         )
         func.add_local("x", 1, "int", False)
         func.add_local("y", 1, "int", False)
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(R(2), R(1)) in func.blocks[0].insts
 
     def test_store_to_other_slot_preserves_load_value(self):
@@ -114,7 +114,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(1), R(2))),
             ]
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(R(2), R(1)) in func.blocks[0].insts
 
     def test_store_to_unknown_address_kills_loads(self):
@@ -127,7 +127,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(1), R(2))),
             ]
         )
-        assert not C.run(func, DEFAULT_TARGET)
+        assert not C.run(func)
 
     def test_call_kills_memory_and_caller_saved(self):
         func = one_block(
@@ -139,7 +139,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", BinOp("add", R(5), R(6)), R(1))),
             ]
         )
-        changed = C.run(func, DEFAULT_TARGET)
+        changed = C.run(func)
         # neither the load nor r1's constant survive the call
         assert Assign(R(6), R(5)) not in func.blocks[0].insts
 
@@ -151,7 +151,7 @@ class TestLocalValueNumbering:
                 Assign(RV, BinOp("add", R(1), R(2))),
             ]
         )
-        assert not C.run(func, DEFAULT_TARGET)
+        assert not C.run(func)
 
 
 class TestGlobalPropagation:
@@ -169,7 +169,7 @@ class TestGlobalPropagation:
             [Assign(R(5), Const(4))],
             [Assign(RV, BinOp("mul", R(2), R(5)))],
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(RV, BinOp("mul", R(2), Const(4))) in func.blocks[1].insts
 
     def test_multiply_defined_register_not_propagated(self):
@@ -185,7 +185,7 @@ class TestGlobalPropagation:
         ]
         b.insts = [Assign(R(5), Const(9))]
         c.insts = [Assign(RV, BinOp("add", R(2), R(5))), Return()]
-        assert not C.run(func, DEFAULT_TARGET)
+        assert not C.run(func)
 
     def test_argument_register_not_treated_single_def(self):
         # Regression: r0 is implicitly defined at entry (it carries the
@@ -203,7 +203,7 @@ class TestGlobalPropagation:
             Return(),
         ]
         func.add_local("x", 1, "int", False)
-        C.run(func, DEFAULT_TARGET)
+        C.run(func)
         # The sum must still read r8: replacing it with r0 would read
         # the freshly loaded value instead of the saved argument.
         sums = [
@@ -218,7 +218,7 @@ class TestGlobalPropagation:
             [Assign(R(5), BinOp("add", FP, Const(8)))],
             [Assign(R(6), BinOp("add", FP, Const(8))), Assign(RV, BinOp("add", R(5), R(6)))],
         )
-        assert C.run(func, DEFAULT_TARGET)
+        assert C.run(func)
         assert Assign(R(6), R(5)) in func.blocks[1].insts
 
 

@@ -3,7 +3,7 @@
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Call, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg
-from repro.machine.target import DEFAULT_TARGET, FP, RV
+from repro.machine.target import FP, RV
 from repro.opt import phase_by_id
 
 H = phase_by_id("h")
@@ -21,7 +21,7 @@ def one_block(insts, returns_value=True, locals_spec=("x",)):
 class TestDeadRegisters:
     def test_unused_assignment_removed(self):
         func = one_block([Assign(Reg(1), Const(5)), Assign(RV, Const(0))])
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
         assert Assign(Reg(1), Const(5)) not in func.blocks[0].insts
 
     def test_chain_of_dead_assignments_removed(self):
@@ -32,44 +32,44 @@ class TestDeadRegisters:
                 Assign(RV, Const(0)),
             ]
         )
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
         assert len(func.blocks[0].insts) == 2  # rv= and RET
 
     def test_live_value_kept(self):
         func = one_block([Assign(Reg(1), Const(5)), Assign(RV, Reg(1))])
-        assert not H.run(func, DEFAULT_TARGET)
+        assert not H.run(func)
 
     def test_return_value_live_for_returning_function(self):
         func = one_block([Assign(RV, Const(1))])
-        assert not H.run(func, DEFAULT_TARGET)
+        assert not H.run(func)
 
     def test_return_value_dead_in_void_function(self):
         func = one_block([Assign(RV, Const(1))], returns_value=False)
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
 
     def test_overwritten_value_removed(self):
         func = one_block([Assign(RV, Const(1)), Assign(RV, Const(2))])
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
         assert func.blocks[0].insts[0] == Assign(RV, Const(2))
 
     def test_dead_load_removed(self):
         func = one_block([Assign(Reg(1), Mem(FP)), Assign(RV, Const(0))])
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
 
     def test_argument_setup_before_call_kept(self):
         func = one_block([Assign(Reg(0, pseudo=False), Const(1)), Call("g", 1)])
-        assert not H.run(func, DEFAULT_TARGET)
+        assert not H.run(func)
 
     def test_clobbered_argument_register_removed(self):
         # r1 set but the call takes only one argument: r1 is clobbered.
         func = one_block([Assign(Reg(1, pseudo=False), Const(1)), Call("g", 1)])
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
 
 
 class TestDeadCompares:
     def test_compare_without_branch_removed(self):
         func = one_block([Compare(Reg(1), Const(0)), Assign(RV, Const(0))])
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
         assert Compare(Reg(1), Const(0)) not in func.blocks[0].insts
 
     def test_compare_feeding_branch_kept(self):
@@ -78,7 +78,7 @@ class TestDeadCompares:
         b = func.add_block("b")
         a.insts = [Compare(Reg(1, pseudo=False), Const(0)), CondBranch("eq", "b")]
         b.insts = [Assign(RV, Const(0)), Return()]
-        assert not H.run(func, DEFAULT_TARGET)
+        assert not H.run(func)
 
     def test_shadowed_compare_removed(self):
         func = Function("f", returns_value=True)
@@ -90,7 +90,7 @@ class TestDeadCompares:
             CondBranch("eq", "b"),
         ]
         b.insts = [Assign(RV, Const(0)), Return()]
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
         assert len(a.insts) == 2
 
 
@@ -99,14 +99,14 @@ class TestDeadStores:
         func = one_block(
             [Assign(Mem(FP), Reg(1, pseudo=False)), Assign(RV, Const(0))]
         )
-        assert H.run(func, DEFAULT_TARGET)
+        assert H.run(func)
         assert len(func.blocks[0].insts) == 2
 
     def test_store_loaded_later_kept(self):
         func = one_block(
             [Assign(Mem(FP), Reg(1, pseudo=False)), Assign(RV, Mem(FP))]
         )
-        assert not H.run(func, DEFAULT_TARGET)
+        assert not H.run(func)
 
     def test_store_read_through_address_register_kept(self):
         addr = Reg(5)
@@ -117,7 +117,7 @@ class TestDeadStores:
                 Assign(RV, Mem(addr)),
             ]
         )
-        assert not H.run(func, DEFAULT_TARGET)
+        assert not H.run(func)
 
     def test_array_store_never_removed(self):
         # A store through a computed (non-slot) address must stay.
@@ -138,7 +138,7 @@ class TestDeadStores:
             and inst not in func.blocks[0].insts
             for inst in list(func.blocks[0].insts)
         )
-        H.run(func, DEFAULT_TARGET)
+        H.run(func)
         stores = [
             inst
             for inst in func.blocks[0].insts
@@ -153,4 +153,4 @@ class TestDeadStores:
         b = func.add_block("b")
         a.insts = [Assign(Mem(FP), Reg(1, pseudo=False))]
         b.insts = [Assign(RV, Mem(FP)), Return()]
-        assert not H.run(func, DEFAULT_TARGET)
+        assert not H.run(func)

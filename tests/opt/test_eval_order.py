@@ -3,7 +3,7 @@
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Assign, Call, Compare, CondBranch, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg
-from repro.machine.target import DEFAULT_TARGET, FP, RV
+from repro.machine.target import FP, RV
 from repro.opt import phase_by_id
 from repro.vm import Interpreter
 
@@ -30,18 +30,18 @@ def interleaved_function():
 class TestScheduling:
     def test_reorders_to_reduce_pressure(self):
         func = interleaved_function()
-        assert O.run(func, DEFAULT_TARGET)
+        assert O.run(func)
 
     def test_idempotent(self):
         func = interleaved_function()
-        O.run(func, DEFAULT_TARGET)
-        assert not O.run(func, DEFAULT_TARGET)
+        O.run(func)
+        assert not O.run(func)
 
     def test_semantics_preserved(self):
         for reorder in (False, True):
             func = interleaved_function()
             if reorder:
-                O.run(func, DEFAULT_TARGET)
+                O.run(func)
             program = Program()
             program.add_function(func)
             assert Interpreter(program).run("f").value == 33
@@ -63,7 +63,7 @@ class TestScheduling:
             Assign(RV, t1),
             Return(),
         ]
-        O.run(func, DEFAULT_TARGET)
+        O.run(func)
         insts = block.insts
         store = next(i for i, x in enumerate(insts) if isinstance(x.dst, Mem)) if any(
             isinstance(x, Assign) and isinstance(x.dst, Mem) for x in insts
@@ -85,7 +85,7 @@ class TestScheduling:
             CondBranch("eq", "other"),
         ]
         other.insts = [Assign(RV, Const(0)), Return()]
-        O.run(func, DEFAULT_TARGET)
+        O.run(func)
         assert isinstance(block.insts[-1], CondBranch)
 
     def test_compare_branch_pairing_kept(self):
@@ -98,5 +98,5 @@ class TestScheduling:
         ]
         other.insts = [Assign(RV, Const(0)), Return()]
         before = list(block.insts)
-        O.run(func, DEFAULT_TARGET)
+        O.run(func)
         assert block.insts == before

@@ -4,7 +4,7 @@ from repro.analysis.loops import find_natural_loops
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Assign, Compare, CondBranch, Jump, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg
-from repro.machine.target import DEFAULT_TARGET, RV
+from repro.machine.target import RV
 from repro.opt import phase_by_id
 from repro.opt.loop_transforms import ensure_preheader
 from repro.vm import Interpreter
@@ -67,7 +67,7 @@ class TestLicm:
     def test_invariant_moved_to_preheader(self):
         invariant = Assign(R(5), BinOp("add", R(6), Const(12)))
         func = counting_loop(extra_body=[invariant])
-        assert L.run(func, DEFAULT_TARGET)
+        assert L.run(func)
         (loop,) = find_natural_loops(func)
         for label in loop.body:
             assert invariant not in func.block(label).insts
@@ -76,7 +76,7 @@ class TestLicm:
         invariant = Assign(R(5), BinOp("add", R(6), Const(12)))
         plain = counting_loop(extra_body=[invariant])
         moved = counting_loop(extra_body=[invariant])
-        L.run(moved, DEFAULT_TARGET)
+        L.run(moved)
         assert execute(plain) == execute(moved)
 
     def test_division_never_speculated(self):
@@ -84,7 +84,7 @@ class TestLicm:
         # loop would trap where the original never divides.
         trap = Assign(R(5), BinOp("div", Const(1), R(6)))
         func = counting_loop(extra_body=[trap], bound=0)
-        L.run(func, DEFAULT_TARGET)
+        L.run(func)
         (loop,) = find_natural_loops(func)
         in_loop = any(trap in func.block(label).insts for label in loop.body)
         assert in_loop  # still inside; zero-trip loop never executes it
@@ -94,7 +94,7 @@ class TestLicm:
         load = Assign(R(5), Mem(R(7)))
         store = Assign(Mem(R(8)), R(2))
         func = counting_loop(extra_body=[load, store])
-        L.run(func, DEFAULT_TARGET)
+        L.run(func)
         (loop,) = find_natural_loops(func)
         assert any(load in func.block(label).insts for label in loop.body)
 
@@ -125,7 +125,7 @@ class TestStrengthReduction:
 
     def test_multiply_reduced_to_increment(self):
         func, scaled = self.make_scaled_loop()
-        assert L.run(func, DEFAULT_TARGET)
+        assert L.run(func)
         (loop,) = find_natural_loops(func)
         for label in loop.body:
             for inst in func.block(label).insts:
@@ -137,12 +137,12 @@ class TestStrengthReduction:
     def test_semantics_after_reduction(self):
         func, _scaled = self.make_scaled_loop()
         plain_value = execute(self.make_scaled_loop()[0])
-        L.run(func, DEFAULT_TARGET)
+        L.run(func)
         assert execute(func) == plain_value == sum(4 * i for i in range(10))
 
     def test_iv_elimination_rewrites_compare(self):
         func, _scaled = self.make_scaled_loop()
-        L.run(func, DEFAULT_TARGET)
+        L.run(func)
         # after reduction + elimination the loop compare no longer
         # mentions r1 (the original induction variable)
         (loop,) = find_natural_loops(func)

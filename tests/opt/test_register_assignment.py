@@ -5,7 +5,7 @@ import pytest
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Assign, Call, Return
 from repro.ir.operands import BinOp, Const, Reg
-from repro.machine.target import ALLOCATABLE, DEFAULT_TARGET, RV
+from repro.machine.target import ALLOCATABLE, RV
 from repro.opt.register_assignment import assign_registers
 from repro.vm import Interpreter
 from tests.conftest import GCD_SRC, SUM_ARRAY_SRC, compile_fn, compile_prog
@@ -20,13 +20,13 @@ def all_registers(func):
 
 class TestAssignment:
     def test_no_pseudos_remain(self, sum_array_func):
-        assign_registers(sum_array_func, DEFAULT_TARGET)
+        assign_registers(sum_array_func)
         assert not any(reg.pseudo for reg in all_registers(sum_array_func))
         assert sum_array_func.reg_assigned
 
     def test_only_allocatable_registers_used(self, gcd_func):
         before = {reg for reg in all_registers(gcd_func) if not reg.pseudo}
-        assign_registers(gcd_func, DEFAULT_TARGET)
+        assign_registers(gcd_func)
         new_regs = {
             reg for reg in all_registers(gcd_func) if not reg.pseudo
         } - before
@@ -42,7 +42,7 @@ class TestAssignment:
             Assign(RV, BinOp("add", t1, t2)),
             Return(),
         ]
-        assign_registers(func, DEFAULT_TARGET)
+        assign_registers(func)
         first, second = block.insts[0].dst, block.insts[1].dst
         assert first != second
 
@@ -56,7 +56,7 @@ class TestAssignment:
             Assign(RV, t1),
             Return(),
         ]
-        assign_registers(func, DEFAULT_TARGET)
+        assign_registers(func)
         assigned = block.insts[0].dst
         assert assigned.index not in range(4)
 
@@ -69,7 +69,7 @@ class TestAssignment:
         base = vm.run("sum_array").value
 
         program2 = compile_prog(SUM_ARRAY_SRC)
-        assign_registers(program2.function("sum_array"), DEFAULT_TARGET)
+        assign_registers(program2.function("sum_array"))
         vm2 = Interpreter(program2)
         for i in range(100):
             vm2.store_global("a", i, i)
@@ -92,7 +92,7 @@ class TestAssignment:
         block.insts.append(Assign(RV, acc))
         block.insts.append(Return())
         # force all 20 to be live at once by summing in reverse order
-        assign_registers(func, DEFAULT_TARGET)
+        assign_registers(func)
         assert not any(reg.pseudo for reg in all_registers(func))
         program = Program()
         program.add_function(func)

@@ -3,7 +3,7 @@
 from repro.ir.function import Function
 from repro.ir.instructions import Assign, Call, Compare, Return
 from repro.ir.operands import BinOp, Const, Mem, Reg, Sym
-from repro.machine.target import DEFAULT_TARGET, FP, RV
+from repro.machine.target import FP, RV
 from repro.opt import phase_by_id
 from repro.opt.instruction_selection import count_register_uses
 
@@ -26,7 +26,7 @@ class TestCombining:
                 Assign(RV, Mem(t1)),
             ]
         )
-        assert S.run(func, DEFAULT_TARGET)
+        assert S.run(func)
         assert func.blocks[0].insts[0] == Assign(RV, Mem(BinOp("add", FP, Const(8))))
 
     def test_copy_collapsed(self):
@@ -34,7 +34,7 @@ class TestCombining:
         func = one_block(
             [Assign(t1, Reg(2, pseudo=False)), Assign(RV, BinOp("add", t1, Const(1)))]
         )
-        assert S.run(func, DEFAULT_TARGET)
+        assert S.run(func)
         assert func.blocks[0].insts[0] == Assign(
             RV, BinOp("add", Reg(2, pseudo=False), Const(1))
         )
@@ -48,13 +48,13 @@ class TestCombining:
                 Assign(RV, Mem(t2)),
             ]
         )
-        assert S.run(func, DEFAULT_TARGET)
+        assert S.run(func)
         assert len(func.blocks[0].insts) == 2
 
     def test_constant_load_folds_into_compare(self):
         t1 = Reg(1)
         func = one_block([Assign(t1, Const(1000)), Compare(Reg(2), t1)])
-        assert S.run(func, DEFAULT_TARGET)
+        assert S.run(func)
         assert Compare(Reg(2), Const(1000)) in func.blocks[0].insts
 
     def test_illegal_combination_rejected(self):
@@ -66,7 +66,7 @@ class TestCombining:
                 Assign(RV, BinOp("add", t1, Sym("g", "lo"))),
             ]
         )
-        assert not S.run(func, DEFAULT_TARGET)
+        assert not S.run(func)
 
     def test_multiple_uses_not_combined(self):
         t1 = Reg(1)
@@ -77,7 +77,7 @@ class TestCombining:
                 Assign(RV, Mem(t1)),
             ]
         )
-        assert not S.run(func, DEFAULT_TARGET)
+        assert not S.run(func)
 
     def test_operand_redefined_between_blocks_combination(self):
         t1 = Reg(1)
@@ -89,7 +89,7 @@ class TestCombining:
                 Assign(RV, t1),
             ]
         )
-        changed = S.run(func, DEFAULT_TARGET)
+        changed = S.run(func)
         # rv = r2 + 1 would be wrong; the only admissible change is none.
         assert not changed
 
@@ -103,7 +103,7 @@ class TestCombining:
             ]
         )
         before = list(func.blocks[0].insts)
-        S.run(func, DEFAULT_TARGET)
+        S.run(func)
         # the load must not move past the store textually; it may still
         # fold "t1+0" but t1's load must remain intact
         assert before[0] in func.blocks[0].insts
@@ -117,32 +117,32 @@ class TestCombining:
                 Assign(RV, BinOp("add", t1, Const(1))),
             ]
         )
-        assert not S.run(func, DEFAULT_TARGET)
+        assert not S.run(func)
 
     def test_use_by_call_not_absorbed(self):
         func = one_block(
             [Assign(Reg(0, pseudo=False), Const(3)), Call("g", 1)]
         )
-        assert not S.run(func, DEFAULT_TARGET)
+        assert not S.run(func)
 
 
 class TestFolding:
     def test_standalone_constant_folding(self):
         func = one_block([Assign(RV, BinOp("add", Const(2), Const(3)))])
-        assert S.run(func, DEFAULT_TARGET)
+        assert S.run(func)
         assert func.blocks[0].insts[0] == Assign(RV, Const(5))
 
     def test_folding_respects_legality(self):
         # 1 << 20 exceeds the immediate limit; the fold must not commit.
         func = one_block([Assign(RV, BinOp("lsl", Const(1), Const(20)))])
-        assert not S.run(func, DEFAULT_TARGET)
+        assert not S.run(func)
 
     def test_fold_after_substitution(self):
         t1 = Reg(1)
         func = one_block(
             [Assign(t1, Const(4)), Assign(RV, BinOp("mul", Reg(2), t1))]
         )
-        assert S.run(func, DEFAULT_TARGET)
+        assert S.run(func)
         assert func.blocks[0].insts[0] == Assign(RV, BinOp("mul", Reg(2), Const(4)))
 
 

@@ -42,26 +42,26 @@ def run_multiply(func, x):
 class TestExpansion:
     def test_power_of_two_becomes_single_shift(self):
         func = multiply_function(8)
-        assert Q.run(func, DEFAULT_TARGET)
+        assert Q.run(func)
         assert func.blocks[0].insts[0] == Assign(
             RV, BinOp("lsl", Reg(1, pseudo=False), Const(3))
         )
 
     def test_two_set_bits_use_shifted_add(self):
         func = multiply_function(10)  # 8 + 2
-        assert Q.run(func, DEFAULT_TARGET)
+        assert Q.run(func)
         insts = func.blocks[0].insts
         assert len(insts) == 3  # shift, shifted-add, ret
         assert insts[1].src.op == "add"
 
     def test_multiply_by_zero(self):
         func = multiply_function(0)
-        assert Q.run(func, DEFAULT_TARGET)
+        assert Q.run(func)
         assert func.blocks[0].insts[0] == Assign(RV, Const(0))
 
     def test_dense_constant_kept_as_multiply(self):
         func = multiply_function(0b1111)  # four set bits: too expensive
-        assert not Q.run(func, DEFAULT_TARGET)
+        assert not Q.run(func)
 
     def test_register_multiply_untouched(self):
         func = Function("f", returns_value=True)
@@ -70,17 +70,17 @@ class TestExpansion:
             Assign(RV, BinOp("mul", Reg(1, pseudo=False), Reg(2, pseudo=False))),
             Return(),
         ]
-        assert not Q.run(func, DEFAULT_TARGET)
+        assert not Q.run(func)
 
     def test_same_source_and_destination_skipped(self):
         func = Function("f", returns_value=True)
         block = func.add_block("L0")
         block.insts = [Assign(RV, BinOp("mul", RV, Const(8))), Return()]
-        assert not Q.run(func, DEFAULT_TARGET)
+        assert not Q.run(func)
 
     def test_expansion_instructions_are_legal(self):
         insts = expand_multiply(
-            Reg(2, pseudo=False), Reg(1, pseudo=False), 10, DEFAULT_TARGET
+            Reg(2, pseudo=False), Reg(1, pseudo=False), 10
         )
         assert all(DEFAULT_TARGET.is_legal(inst) for inst in insts)
 
@@ -88,7 +88,7 @@ class TestExpansion:
 @given(st.integers(-1024, 1024), st.integers(-(2**20), 2**20))
 def test_expanded_sequence_computes_the_product(constant, x):
     func = multiply_function(constant)
-    applied = Q.run(func, DEFAULT_TARGET)
+    applied = Q.run(func)
     expected = _mask32(x * constant)
     assert run_multiply(func, x) == expected
     if applied:

@@ -17,12 +17,12 @@ import pytest
 
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
+from repro.observability import Tracer
 from repro.robustness.faults import FaultInjector
 from repro.parallel import (
     EnumerationRequest,
     ParallelConfig,
     ParallelEnumerator,
-    ProgressReporter,
     enumerate_space_parallel,
 )
 from tests.parallel.conftest import CASES, bench_function, dag_snapshot
@@ -91,19 +91,19 @@ def test_killed_worker_lease_recovery(tmp_path, case_functions, serial_results):
     re-run by a respawned worker (resuming its checkpoint), and the
     space is still bit-identical."""
     events_path = tmp_path / "events.jsonl"
-    reporter = ProgressReporter(jsonl_path=str(events_path))
+    tracer = Tracer(jsonl_path=str(events_path))
     parallel = ParallelConfig(
         jobs=2,
         run_dir=str(tmp_path / "run"),
         lease_timeout=10.0,
         checkpoint_interval=0.0,  # checkpoint at every node
         chaos={"worker": 0, "after_nodes": 2, "kind": "exit"},
-        progress=reporter,
+        tracer=tracer,
     )
     result = enumerate_space_parallel(
         case_functions[("sha", "rol")], EnumerationConfig(), parallel
     )
-    reporter.close()
+    tracer.close()
     serial = serial_results[("sha", "rol")]
     assert result.completed
     assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)
@@ -121,18 +121,18 @@ def test_hung_worker_lease_timeout(tmp_path, case_functions, serial_results):
     """A worker that stops heartbeating (hang, not crash) is terminated
     once its lease expires and the function completes elsewhere."""
     events_path = tmp_path / "events.jsonl"
-    reporter = ProgressReporter(jsonl_path=str(events_path))
+    tracer = Tracer(jsonl_path=str(events_path))
     parallel = ParallelConfig(
         jobs=2,
         lease_timeout=1.5,
         heartbeat_interval=0.1,
         chaos={"worker": 0, "after_nodes": 2, "kind": "hang"},
-        progress=reporter,
+        tracer=tracer,
     )
     result = enumerate_space_parallel(
         case_functions[("jpeg", "descale")], EnumerationConfig(), parallel
     )
-    reporter.close()
+    tracer.close()
     serial = serial_results[("jpeg", "descale")]
     assert result.completed
     assert dag_snapshot(result.dag) == dag_snapshot(serial.dag)

@@ -8,24 +8,29 @@ import os
 import shutil
 from collections import deque
 
+from repro.observability import Tracer
 from repro.parallel import ProgressReporter
 from repro.parallel.telemetry import replay_journal
 
 
 def test_jsonl_event_log(tmp_path):
     path = tmp_path / "events.jsonl"
-    with ProgressReporter(jsonl_path=str(path)) as reporter:
-        reporter.event("job_start", functions=3, jobs=2)
-        reporter.event("shard_done", shard=0, nodes=5, attempts=70)
-        reporter.event("function_done", function="f", wall=1.5)
+    reporter = ProgressReporter()
+    with Tracer(jsonl_path=str(path)) as tracer:
+        tracer.subscribe(reporter.event)
+        tracer.emit("job_start", functions=3, jobs=2)
+        tracer.emit("shard_done", shard=0, nodes=5, attempts=70)
+        tracer.emit("function_done", function="f", wall=1.5)
     events = [json.loads(line) for line in path.read_text().splitlines()]
     assert [event["event"] for event in events] == [
         "job_start",
         "shard_done",
         "function_done",
+        "run_end",
     ]
     assert all("t" in event for event in events)
     assert events[1]["nodes"] == 5
+    assert (reporter.functions_total, reporter.functions_done) == (3, 1)
 
 
 def test_gauges_follow_events():
@@ -152,21 +157,14 @@ def test_status_line_width_follows_terminal(monkeypatch):
     assert len(narrow.getvalue()) == 1 + 40
 
 
-def test_jsonl_log_is_utf8(tmp_path):
-    path = tmp_path / "events.jsonl"
-    with ProgressReporter(jsonl_path=str(path)) as reporter:
-        reporter.event("function_done", function="smålänning", wall=0.1)
-    record = json.loads(path.read_text(encoding="utf-8"))
-    assert record["function"] == "smålänning"
-
-
 def test_replay_journal_reconstructs_gauges(tmp_path):
     path = tmp_path / "events.jsonl"
-    with ProgressReporter(jsonl_path=str(path)) as reporter:
-        reporter.event("job_start", functions=3, jobs=2)
-        reporter.event("cache_hit", function="a")
-        reporter.event("shard_done", shard=0, nodes=5, attempts=70)
-        reporter.event("function_done", function="b", wall=1.5)
+    with Tracer(jsonl_path=str(path)) as tracer:
+        tracer.subscribe(ProgressReporter().event)
+        tracer.emit("job_start", functions=3, jobs=2)
+        tracer.emit("cache_hit", function="a")
+        tracer.emit("shard_done", shard=0, nodes=5, attempts=70)
+        tracer.emit("function_done", function="b", wall=1.5)
     replayed = replay_journal(str(path))
     assert replayed.functions_total == 3
     assert replayed.functions_done == 1

@@ -33,7 +33,7 @@ class _RaisingPhase(Phase):
     id = "b"
     name = "raises"
 
-    def run(self, func, target):
+    def run(self, func):
         raise ValueError("phase exploded")
 
 
@@ -41,7 +41,7 @@ class _HangingPhase(Phase):
     id = "b"
     name = "hangs"
 
-    def run(self, func, target):
+    def run(self, func):
         time.sleep(10.0)
         return False
 
@@ -55,7 +55,7 @@ class _ConstTweakPhase(Phase):
     def __init__(self):
         self.fired = False
 
-    def run(self, func, target):
+    def run(self, func):
         if self.fired:
             return False
         for block in func.blocks:
@@ -87,7 +87,7 @@ class TestExceptionContainment:
             id = "b"
             name = "interrupts"
 
-            def run(self, func, target):
+            def run(self, func):
                 raise KeyboardInterrupt
 
         guard = GuardedPhaseRunner()
@@ -210,7 +210,7 @@ class TestDifferentialTesting:
         tester = DifferentialTester(program, "five", default_vectors(func))
         assert tester.check(func.clone()) is None
         tweaked = func.clone()
-        _ConstTweakPhase().run(tweaked, None)
+        _ConstTweakPhase().run(tweaked)
         assert "expected" in tester.check(tweaked)
 
     def test_default_vectors_cover_arity(self, maxi_func):
@@ -424,9 +424,9 @@ class TestCooperativeDeadline:
 
     def test_slow_phase_rejected_off_main_thread(self):
         class _SlowConstTweak(_ConstTweakPhase):
-            def run(self, func, target):
+            def run(self, func):
                 time.sleep(0.2)
-                return super().run(func, target)
+                return super().run(func)
 
         func = compile_fn(FIVE_SRC, "five")
         guard = GuardedPhaseRunner(phase_timeout=0.05)
@@ -443,7 +443,7 @@ class TestCooperativeDeadline:
             id = "b"
             name = "slow and dormant"
 
-            def run(self, func, target):
+            def run(self, func):
                 time.sleep(0.2)
                 return False
 

@@ -47,8 +47,8 @@ def gcd():
 
 class TestCleanBaseline:
     def test_clean_functions_have_no_findings(self, square, gcd):
-        assert sanitize_function(square, DEFAULT_TARGET, mode=FULL) == []
-        assert sanitize_function(gcd, DEFAULT_TARGET, mode=FULL) == []
+        assert sanitize_function(square, mode=FULL) == []
+        assert sanitize_function(gcd, mode=FULL) == []
 
     def test_whole_program_clean(self):
         program = compile_source(GCD_SRC + MAXI_SRC)
@@ -56,7 +56,7 @@ class TestCleanBaseline:
 
         for func in program.functions.values():
             implicit_cleanup(func)
-        assert sanitize_program(program, DEFAULT_TARGET, mode=FULL) == []
+        assert sanitize_program(program, mode=FULL) == []
 
 
 class TestStructuralMutations:
@@ -118,7 +118,7 @@ class TestMachineMutations:
         square.blocks[0].insts.insert(
             1, Assign(reg, BinOp("add", reg, Const(wide)))
         )
-        found = codes(sanitize_function(square, DEFAULT_TARGET, mode=FAST))
+        found = codes(sanitize_function(square, mode=FAST))
         assert "MACH002" in found
         assert "MACH001" not in found
 
@@ -302,7 +302,7 @@ class TestGuardIntegration:
                             return True
             return False
 
-        def corrupt_on_clone(func, ph, target):
+        def corrupt_on_clone(func, ph):
             candidate = func.clone()
             return candidate if corrupt(candidate) else None
 

@@ -16,7 +16,6 @@ from repro.frontend import compile_source
 from repro.ir.function import Program
 from repro.ir.instructions import Assign
 from repro.ir.operands import Const
-from repro.machine.target import DEFAULT_TARGET
 from repro.opt import apply_phase, implicit_cleanup, phase_by_id
 from repro.staticanalysis import FULL, sanitize_function
 from repro.staticanalysis.transval import PROVED, REFUTED, VERDICTS, TranslationValidator
@@ -53,13 +52,13 @@ def test_sanitizer_clean_across_legal_phase_applications(source, sequence):
     """No legal phase application may introduce a sanitizer finding."""
     program, func = _compiled(source)
     assert (
-        sanitize_function(func, DEFAULT_TARGET, program=program, mode=FULL)
+        sanitize_function(func, program=program, mode=FULL)
         == []
     )
     for phase_id in sequence:
         apply_phase(func, phase_by_id(phase_id))
         findings = sanitize_function(
-            func, DEFAULT_TARGET, program=program, mode=FULL
+            func, program=program, mode=FULL
         )
         assert findings == [], (phase_id, findings)
 

@@ -158,12 +158,11 @@ def test_fingerprint_invariant_under_register_renaming(source):
     from repro.analysis.defuse import rewrite_registers
     from repro.ir.operands import Reg
     from repro.opt.register_assignment import assign_registers
-    from repro.machine.target import DEFAULT_TARGET
 
     program = compile_source(source)
     func = program.function("f")
     implicit_cleanup(func)
-    assign_registers(func, DEFAULT_TARGET)
+    assign_registers(func)
 
     used = sorted(
         {
