@@ -4,7 +4,7 @@ Measures enumeration **edge throughput** (attempted phase transitions
 per second) in three engine configurations:
 
 ``object``
-    Today's object-IR engine — zlib CRC, streaming fingerprints,
+    Today's object-IR engine — zlib CRC, render-then-hash fingerprints,
     cached dataflow analyses, single-clone phase attempts — with no
     memo, so every phase executes for real.
 ``flat``

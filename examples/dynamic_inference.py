@@ -15,6 +15,7 @@ the best-code-size leaf with the best-dynamic-count leaf.
 Run:  python examples/dynamic_inference.py
 """
 
+from repro.core.dag import materialize_instances
 from repro.core.dynamic import DynamicCountOracle
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.frontend import compile_source
@@ -47,9 +48,10 @@ def main():
     print("enumerating weighted_sum's space (capped) ...")
     result = enumerate_space(
         func,
-        EnumerationConfig(max_nodes=4000, time_limit=120, keep_functions=True),
+        EnumerationConfig(max_nodes=4000, time_limit=120),
     )
     dag = result.dag
+    materialize_instances(dag, func)
     print(f"{len(dag)} instances, {dag.distinct_control_flows()} distinct control flows")
 
     oracle = DynamicCountOracle(program, "weighted_sum", drive)

@@ -8,6 +8,7 @@ one function to show the dynamic impact of phase ordering.
 Run:  python examples/explore_benchmark.py
 """
 
+from repro.core.dag import materialize_instances
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.stats import FunctionSpaceStats, format_stats_table, static_function_facts
 from repro.opt import implicit_cleanup
@@ -36,7 +37,7 @@ def main():
         insts, blocks, branches, loops = static_function_facts(func)
         result = enumerate_space(
             func,
-            EnumerationConfig(max_nodes=6000, time_limit=90, keep_functions=True),
+            EnumerationConfig(max_nodes=6000, time_limit=90),
         )
         rows.append(
             FunctionSpaceStats(
@@ -48,13 +49,14 @@ def main():
                 result,
             )
         )
-        keepers[(bench_name, func_name)] = result
+        keepers[(bench_name, func_name)] = result, func
 
     print(format_stats_table(rows))
 
     # Execute best vs worst leaf of bit_count inside the full program.
-    result = keepers[("bitcount", "bit_count")]
+    result, root = keepers[("bitcount", "bit_count")]
     dag = result.dag
+    materialize_instances(dag, root)
     leaves = dag.leaves()
     if leaves:
         best = min(leaves, key=lambda n: n.num_insts)

@@ -181,10 +181,10 @@ class SpaceDAG:
         space.  Returns None when the instance is not in the space
         (possible for truncated enumerations).
         """
-        from repro.core.enumeration import _node_key
+        from repro.core.enumeration import node_key
         from repro.core.fingerprint import fingerprint_function
 
-        return self.lookup(_node_key(fingerprint_function(func), func))
+        return self.lookup(node_key(fingerprint_function(func), func))
 
     def codesize_histogram(self) -> Dict[int, int]:
         """Leaf count per code size (the spread Table 3 summarizes)."""
@@ -256,25 +256,31 @@ def materialize_instances(dag: SpaceDAG, root_func) -> int:
     """Re-attach a :class:`Function` instance to every node of *dag*.
 
     The DAG records *which* instances exist and which phase transforms
-    one into the next, but a space enumerated without
-    ``keep_functions=True`` (or loaded back from a checkpoint or a
-    :class:`~repro.parallel.store.SpaceStore` entry) carries no
-    function objects.  This walk rebuilds them by replaying every
-    active edge exactly once in topological order — the same
-    one-phase-per-edge discipline as prefix-sharing enumeration — so
-    leaf evaluation (dynamic counts, the multi-objective cost model,
-    the search-lab oracle) works on cold-loaded spaces.
+    one into the next, but an enumerated space (like one loaded back
+    from a checkpoint or a :class:`~repro.parallel.store.SpaceStore`
+    entry) carries no function objects: this is the one way to get
+    them.  Each node is rebuilt by replaying its *creating* edge (its
+    first in-edge) on its already rebuilt parent, in node-id order —
+    one phase application per node, as in prefix-sharing enumeration —
+    so leaf evaluation (dynamic counts, the multi-objective cost model,
+    the search-lab oracle) works on cold-loaded spaces.  Replaying the
+    creating edge rebuilds the very instance enumeration expanded, down
+    to state outside the node key (register and label names before
+    remapping, the label counter, the loops already unrolled); another
+    in-edge can yield a same-key instance on which a recorded phase is
+    dormant or produces different code.  Semantically merged in-edges
+    are never creating edges.
 
     *root_func* must be the canonical root instance (after
     ``implicit_cleanup``); each rebuilt instance is verified against
     the node's stored fingerprint key, so a wrong or stale root fails
     loudly instead of silently pricing the wrong code.
 
-    Returns the number of phase applications performed (== active
-    edges replayed).  Nodes that already carry a function are kept
-    as-is and their outgoing edges are still used for children.
+    Returns the number of phase applications performed.  Nodes that
+    already carry a function are kept as-is, and their children are
+    rebuilt from them.
     """
-    from repro.core.enumeration import _node_key
+    from repro.core.enumeration import node_key
     from repro.core.fingerprint import fingerprint_function
     from repro.opt import attempt_phase_on_clone, phase_by_id
 
@@ -283,7 +289,7 @@ def materialize_instances(dag: SpaceDAG, root_func) -> int:
     root = dag.root
     if root.function is None:
         candidate = root_func.clone()
-        key = _node_key(fingerprint_function(candidate), candidate)
+        key = node_key(fingerprint_function(candidate), candidate)
         if key != root.key:
             raise ValueError(
                 f"{dag.function_name}: root_func does not fingerprint to the "
@@ -292,39 +298,33 @@ def materialize_instances(dag: SpaceDAG, root_func) -> int:
             )
         root.function = candidate
     applied = 0
-    for node_id in dag._topological_order():
+    # A node's id is assigned when its creating edge adds it, so that
+    # edge's parent always has a smaller id.
+    for node_id in sorted(dag.nodes):
         node = dag.nodes[node_id]
-        if node.function is None:
+        if node.function is not None or not node.parents:
+            continue
+        parent_id, phase_id = node.parents[0]
+        parent = dag.nodes[parent_id]
+        if parent.function is None:
             # Unreachable from the root through materialized parents;
             # can only happen on a DAG truncated mid-construction.
             continue
-        for phase_id in sorted(node.active):
-            child = dag.nodes[node.active[phase_id]]
-            if child.function is not None:
-                continue
-            candidate = attempt_phase_on_clone(
-                node.function, phase_by_id(phase_id)
+        candidate = attempt_phase_on_clone(
+            parent.function, phase_by_id(phase_id)
+        )
+        applied += 1
+        if candidate is None:
+            raise ValueError(
+                f"{dag.function_name}: phase {phase_id!r} recorded as "
+                f"active on node #{parent_id} was dormant on replay "
+                "— the DAG does not belong to root_func"
             )
-            applied += 1
-            if candidate is None:
-                raise ValueError(
-                    f"{dag.function_name}: phase {phase_id!r} recorded as "
-                    f"active on node #{node.node_id} was dormant on replay "
-                    "— the DAG does not belong to root_func"
-                )
-            key = _node_key(fingerprint_function(candidate), candidate)
-            if key != child.key:
-                if dag.aliases.get(key) == child.node_id:
-                    # Semantically merged edge: the replayed candidate
-                    # is a proved-equivalent sibling of the
-                    # representative, not its exact code.  Leave
-                    # materialization to an exact in-edge — the
-                    # representative's creating edge always is one.
-                    continue
-                raise ValueError(
-                    f"{dag.function_name}: replaying phase {phase_id!r} on "
-                    f"node #{node.node_id} produced a different instance "
-                    f"than recorded child #{child.node_id}"
-                )
-            child.function = candidate
+        if node_key(fingerprint_function(candidate), candidate) != node.key:
+            raise ValueError(
+                f"{dag.function_name}: replaying phase {phase_id!r} on "
+                f"node #{parent_id} produced a different instance "
+                f"than recorded child #{node_id}"
+            )
+        node.function = candidate
     return applied

@@ -15,9 +15,8 @@ per-block execution frequencies) and computes every other instance's
 dynamic count as sum(frequency[i] * len(block_i)) over positionally
 corresponding blocks.
 
-Requires a space enumerated with ``keep_functions=True`` — or
-materialized afterwards with
-:func:`repro.core.dag.materialize_instances` — so that each node still
+Requires a space whose instances were rebuilt with
+:func:`repro.core.dag.materialize_instances`, so that each node
 carries its function instance; a bare node raises
 :class:`MissingFunctionError` up front instead of failing deep inside
 a leaf walk.
@@ -37,8 +36,8 @@ class MissingFunctionError(ValueError):
     """A space node carries no :class:`Function` instance.
 
     Raised before any leaf walk starts, with the fix spelled out:
-    enumerate with ``keep_functions=True``, or rebuild the instances
-    from the DAG with :func:`repro.core.dag.materialize_instances`.
+    rebuild the instances from the DAG with
+    :func:`repro.core.dag.materialize_instances`.
     Subclasses :class:`ValueError` for backward compatibility with the
     untyped error this replaces.
     """
@@ -46,8 +45,7 @@ class MissingFunctionError(ValueError):
 
 def _missing(dag_name: str, detail: str) -> MissingFunctionError:
     return MissingFunctionError(
-        f"{dag_name}: {detail}; enumerate with keep_functions=True or "
-        "rebuild the instances with "
+        f"{dag_name}: {detail}; rebuild the instances with "
         "repro.core.dag.materialize_instances(dag, root_func)"
     )
 
@@ -139,10 +137,8 @@ class DynamicCountOracle:
         """Dynamic counts for every node; executes once per control flow.
 
         Raises :class:`MissingFunctionError` up front when *no* node
-        carries an instance (the space was enumerated without
-        ``keep_functions=True``); partially retained spaces — e.g. an
-        aborted enumeration whose frontier is still materialized —
-        price the nodes they have.
+        carries an instance (the space was never materialized);
+        partially materialized spaces price the nodes they have.
         """
         priced = {
             node.node_id: self.count_for(node.function, node.cf_crc)

@@ -88,7 +88,6 @@ class EnumerationConfig:
         time_limit: Optional[float] = None,
         exact: bool = False,
         share_prefixes: bool = True,
-        keep_functions: bool = False,
         remap: bool = True,
         phases: Sequence[Phase] = PHASES,
         validate: bool = False,
@@ -115,8 +114,6 @@ class EnumerationConfig:
         #: this off replays the whole phase sequence from the
         #: unoptimized function for every attempt (Figure 6 baseline)
         self.share_prefixes = share_prefixes
-        #: retain every node's Function object (memory heavy)
-        self.keep_functions = keep_functions
         #: remap registers/labels before hashing (section 4.2.1);
         #: turning this off is the remapping ablation
         self.remap = remap
@@ -316,8 +313,8 @@ class SpaceEnumerator:
         )
         # The flat engine replaces only the same unguarded
         # prefix-sharing transition the memo does, and additionally
-        # needs the streaming remapped fingerprint (no exact texts, no
-        # remapping ablation).  Kernels dispatch on ``phase.id``, so a
+        # needs the remapped fingerprint (no exact texts, no remapping
+        # ablation).  Kernels dispatch on ``phase.id``, so a
         # custom phase object carrying a stock id (a test wrapper, an
         # instrumented phase) must also force the object engine — only
         # the canonical phase instances are known to match their
@@ -421,20 +418,12 @@ class SpaceEnumerator:
                     pass
             else:
                 self._write_checkpoint()
-        if not self.completed and not config.keep_functions:
+        if not self.completed:
             # An aborted run must not pin the frontier instances.
             for node in self.frontier:
                 node.function = None
             for node in self.next_frontier:
                 node.function = None
-        if self.flat_engine and config.keep_functions:
-            # Callers asking for retained functions expect instruction
-            # objects, whatever engine expanded the space.
-            for node in self.dag.nodes.values():
-                if node.function is not None and not isinstance(
-                    node.function, Function
-                ):
-                    node.function = from_flat(node.function)
         if tracer is not None:
             delta = tracer.phases_since(phase_snapshot)
             if delta:
@@ -530,17 +519,12 @@ class SpaceEnumerator:
 
     def _initialize(self) -> None:
         config = self.config
-        root_func = self.input_func.clone()
-        implicit_cleanup(root_func)  # canonical root instance
+        root_func, root_fp, root_key = root_instance(self.input_func, config)
         self.root_func = root_func
         self.dag = SpaceDAG(self.input_func.name)
         self.texts: Dict[object, str] = {}
         self.attempted = 0
         self.applied = 0
-        root_fp = fingerprint_function(
-            root_func, keep_text=config.exact, remap=config.remap
-        )
-        root_key = _node_key(root_fp, root_func)
         root = self.dag.add_node(root_key, 0, root_fp.num_insts, root_fp.cf_crc)
         root.function = to_flat(root_func) if self.flat_engine else root_func
         if config.exact:
@@ -596,10 +580,7 @@ class SpaceEnumerator:
         # The input function must be the one the checkpoint was made
         # from: its canonical root instance must fingerprint to the
         # checkpointed root key.
-        probe = self.input_func.clone()
-        implicit_cleanup(probe)
-        probe_fp = fingerprint_function(probe, remap=config.remap)
-        if _node_key(probe_fp, probe) != self.dag.root.key:
+        if root_instance(self.input_func, config)[2] != self.dag.root.key:
             raise ckpt.CheckpointError(
                 f"checkpoint {path} was written for a different version of "
                 f"{self.input_func.name!r} (root fingerprint mismatch)"
@@ -859,7 +840,7 @@ class SpaceEnumerator:
                     fingerprint = fingerprint_function(
                         candidate, keep_text=config.exact, remap=config.remap
                     )
-                key = _node_key(fingerprint, candidate)
+                key = node_key(fingerprint, candidate)
                 if entry is not None and (entry.dormant or entry.key != key):
                     raise RuntimeError(
                         f"{self.input_func.name}: memo entry for phase "
@@ -923,8 +904,7 @@ class SpaceEnumerator:
             added_edges.append((node, phase.id, child))
             self.next_frontier.append(child)
         node.expanded = True
-        if not config.keep_functions:
-            node.function = None
+        node.function = None
         return True
 
     # ------------------------------------------------------------------
@@ -1035,7 +1015,7 @@ def enumerate_space(
     return SpaceEnumerator(func, config).run()
 
 
-def _node_key(fingerprint: Fingerprint, func: Function):
+def node_key(fingerprint: Fingerprint, func: Function):
     """Node identity: the paper's hash triple plus the legality flags
     (register assignment / s applied / k applied), which determine which
     phases are attemptable — see DESIGN.md."""
@@ -1045,6 +1025,24 @@ def _node_key(fingerprint: Fingerprint, func: Function):
         func.sel_applied,
         func.alloc_applied,
     )
+
+
+def root_instance(
+    func: Function, config: EnumerationConfig
+) -> Tuple[Function, Fingerprint, object]:
+    """The canonical root instance of *func*: ``(root, fingerprint, key)``.
+
+    *root* is a clone after ``implicit_cleanup``; it is fingerprinted
+    under *config*'s ``remap`` (and, under ``exact``, keeps its text).
+    Its node key names the space: the enumerator's root, the checkpoint
+    probe and the store key all come from here.  *func* is untouched.
+    """
+    root = func.clone()
+    implicit_cleanup(root)
+    fingerprint = fingerprint_function(
+        root, keep_text=config.exact, remap=config.remap
+    )
+    return root, fingerprint, node_key(fingerprint, root)
 
 
 def _arrival_phases(node: SpaceNode) -> set:

@@ -16,14 +16,10 @@ The remapping is deliberately the paper's naive one: every register is
 renumbered on first encounter (not a live-range remapping, which would
 be unsafe at intermediate points because it changes register pressure).
 
-Fingerprinting happens once per attempted edge, so the default path is
-a *streaming* single pass: each rendered line is hashed into the
-running CRCs and byte-sum as it is produced, never materializing the
-joined text.  The stream is chunked with the same ``"\\n"`` separators
-``"\\n".join(lines)`` would insert, so the result is bit-identical to
-the legacy render-then-hash pipeline (kept below as the oracle for the
-property tests, and for exact mode and the remapping ablation, which
-need the rendered text anyway).
+Fingerprinting renders the (remapped) text and the control-flow text,
+then hashes their UTF-8 bytes.  This is the object-IR definition of
+"identical"; the flat engine's :func:`repro.ir.flat.flat_fingerprint`
+produces the same bytes from interned instructions.
 """
 
 from __future__ import annotations
@@ -115,98 +111,16 @@ def raw_function_text(func: Function) -> str:
     return "\n".join(lines)
 
 
-class _StreamHash:
-    """Running (byte_sum, crc) over newline-joined lines.
-
-    Feeding lines [a, b, c] hashes exactly the bytes of
-    ``"\\n".join([a, b, c]).encode("utf-8")`` — CRC-32 chains
-    (``crc32(y, crc32(x)) == crc32(x + y)``), so interleaving the
-    separator keeps the digest bit-identical to the one-shot hash.
-    """
-
-    __slots__ = ("byte_sum", "crc", "_chunks")
-
-    def __init__(self) -> None:
-        self.byte_sum = 0
-        self.crc = 0
-        self._chunks: list = []
-
-    def line(self, text: str) -> None:
-        self._chunks.append(text)
-
-    def flush_block(self) -> None:
-        """Hash the lines buffered since the previous flush."""
-        if not self._chunks:
-            return
-        if self.byte_sum or self.crc:
-            data = ("\n" + "\n".join(self._chunks)).encode("utf-8")
-        else:
-            data = "\n".join(self._chunks).encode("utf-8")
-        self.byte_sum += sum(data)
-        self.crc = crc32(data, self.crc)
-        self._chunks.clear()
-
-
-def _streaming_fingerprint(func: Function) -> Fingerprint:
-    """Single pass over blocks: render each line once, feed the main and
-    control-flow hashes as the text is produced, count instructions."""
-    reg_map: Dict[Reg, str] = {}
-    label_map: Dict[str, str] = {}
-    cf_label_map: Dict[str, str] = {}
-
-    def reg_namer(reg: Reg) -> str:
-        name = reg_map.get(reg)
-        if name is None:
-            name = f"r[{len(reg_map) + 1}]"
-            reg_map[reg] = name
-        return name
-
-    def label_namer(label: str) -> str:
-        name = label_map.get(label)
-        if name is None:
-            name = f"L{len(label_map) + 1:02d}"
-            label_map[label] = name
-        return name
-
-    def cf_label_namer(label: str) -> str:
-        name = cf_label_map.get(label)
-        if name is None:
-            name = f"L{len(cf_label_map) + 1:02d}"
-            cf_label_map[label] = name
-        return name
-
-    main = _StreamHash()
-    cf = _StreamHash()
-    num_insts = 0
-    for block in func.blocks:
-        main.line(f"{label_namer(block.label)}:")
-        for inst in block.insts:
-            main.line(format_instruction(inst, reg_namer, label_namer))
-        num_insts += len(block.insts)
-        main.flush_block()
-
-        cf.line(f"{cf_label_namer(block.label)}:")
-        term = block.terminator()
-        if isinstance(term, Jump):
-            cf.line(f"j {cf_label_namer(term.target)}")
-        elif isinstance(term, CondBranch):
-            cf.line(f"b{term.relop} {cf_label_namer(term.target)}")
-        elif term is not None:
-            cf.line("ret")
-        cf.flush_block()
-
-    return Fingerprint(
-        num_insts=num_insts,
-        byte_sum=main.byte_sum & 0xFFFFFFFF,
-        crc=main.crc,
-        cf_crc=cf.crc,
-        text=None,
-    )
-
-
-def _legacy_fingerprint(
-    func: Function, keep_text: bool, remap: bool
+def fingerprint_function(
+    func: Function, keep_text: bool = False, remap: bool = True
 ) -> Fingerprint:
+    """Compute the identity fingerprint of a function instance.
+
+    ``remap=False`` skips the register/label renumbering — the paper's
+    section 4.2.1 argues (and the remapping ablation bench shows) that
+    this misses merges and inflates the space.  Exact mode
+    (``keep_text=True``) keeps the rendered text for collision checks.
+    """
     text = remap_function_text(func) if remap else raw_function_text(func)
     data = text.encode("utf-8")
     cf_data = control_flow_text(func).encode("utf-8")
@@ -217,19 +131,3 @@ def _legacy_fingerprint(
         cf_crc=crc32(cf_data),
         text=text if keep_text else None,
     )
-
-
-def fingerprint_function(
-    func: Function, keep_text: bool = False, remap: bool = True
-) -> Fingerprint:
-    """Compute the identity fingerprint of a function instance.
-
-    ``remap=False`` skips the register/label renumbering — the paper's
-    section 4.2.1 argues (and the remapping ablation bench shows) that
-    this misses merges and inflates the space.  Exact mode
-    (``keep_text=True``) needs the materialized text for collision
-    checks, so it takes the legacy path; everything else streams.
-    """
-    if keep_text or not remap:
-        return _legacy_fingerprint(func, keep_text, remap)
-    return _streaming_fingerprint(func)

@@ -52,13 +52,6 @@ class DeclarationsMixin:
             return "struct", tag
         raise self.error(f"expected a type, found {token.value!r}")
 
-    def _parse_type(self) -> str:
-        """Back-compat helper: a scalar base type with no declarator."""
-        typ, struct = self._parse_type_spec()
-        if struct is not None:
-            raise self.error("struct type is not valid here")
-        return typ
-
     def _parse_ptr_depth(self) -> int:
         depth = 0
         while self.accept("op", "*"):

@@ -32,9 +32,6 @@ class AliasInfo:
     exposed: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     points_to: Dict[str, Dict[str, Tuple[str, ...]]] = field(default_factory=dict)
 
-    def exposed_in(self, func: str) -> FrozenSet[str]:
-        return self.exposed.get(func, frozenset())
-
 
 class _Steensgaard:
     """Union-find over abstract nodes with unifying points-to cells."""

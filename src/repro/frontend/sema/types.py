@@ -98,12 +98,6 @@ class Struct(Type):
                 return typ
         return None
 
-    def field_index(self, name: str) -> int:
-        for i, (field_name, _) in enumerate(self.fields):
-            if field_name == name:
-                return i
-        raise KeyError(name)
-
     @property
     def words(self) -> int:
         return len(self.fields)

@@ -471,7 +471,7 @@ _FP_CACHE: Dict[Tuple, Fingerprint] = {}
 _FP_CACHE_MAX = 1 << 18
 
 
-def flat_fingerprint(flat: FlatFunction, keep_text: bool = False) -> Fingerprint:
+def flat_fingerprint(flat: FlatFunction) -> Fingerprint:
     """Remapped fingerprint of *flat*; same bytes as the object path.
 
     Results are cached by exact content: the fingerprint is a pure
@@ -480,10 +480,9 @@ def flat_fingerprint(flat: FlatFunction, keep_text: bool = False) -> Fingerprint
     exactly the merges the DAG exists to catch.
     """
     key = flat.content_key()
-    if not keep_text:
-        cached = _FP_CACHE.get(key)
-        if cached is not None:
-            return cached
+    cached = _FP_CACHE.get(key)
+    if cached is not None:
+        return cached
 
     reg_names: Dict[int, str] = {}
     label_names: Dict[int, str] = {}
@@ -516,8 +515,7 @@ def flat_fingerprint(flat: FlatFunction, keep_text: bool = False) -> Fingerprint
                         label_names[~part] = lname
                     parts.append(lname)
             append("".join(parts))
-    text = "\n".join(lines)
-    data = text.encode("utf-8")
+    data = "\n".join(lines).encode("utf-8")
 
     cf_names: Dict[int, str] = {}
     cf_lines: List[str] = []
@@ -549,12 +547,10 @@ def flat_fingerprint(flat: FlatFunction, keep_text: bool = False) -> Fingerprint
         byte_sum=sum(data) & 0xFFFFFFFF,
         crc=crc32(data),
         cf_crc=crc32(cf_data),
-        text=text if keep_text else None,
     )
-    if not keep_text:
-        if len(_FP_CACHE) >= _FP_CACHE_MAX:
-            _FP_CACHE.clear()
-        _FP_CACHE[key] = result
+    if len(_FP_CACHE) >= _FP_CACHE_MAX:
+        _FP_CACHE.clear()
+    _FP_CACHE[key] = result
     return result
 
 

@@ -38,13 +38,11 @@ from repro.core.dag import SpaceDAG
 from repro.core.enumeration import (
     EnumerationConfig,
     EnumerationResult,
-    _node_key,
+    root_instance,
 )
-from repro.core.fingerprint import fingerprint_function
 from repro.ir.function import Function
 from repro.observability import manifest as manifest_mod
 from repro.observability.tracer import Tracer
-from repro.opt import implicit_cleanup
 from repro.parallel.merge import merge_shard
 from repro.parallel.store import SpaceStore, cacheable, store_signature
 from repro.parallel.telemetry import ProgressReporter
@@ -140,13 +138,10 @@ class _FunctionJob:
         self.label = request.label
         self.request = request
         self.function_name = request.function.name
-        root = request.function.clone()
-        implicit_cleanup(root)
-        self.root_fingerprint = fingerprint_function(
-            root, keep_text=config.exact, remap=config.remap
-        )
         #: the store key: the canonical root instance's node key
-        self.root_key = _node_key(self.root_fingerprint, root)
+        _root, self.root_fingerprint, self.root_key = root_instance(
+            request.function, config
+        )
         safe_label = re.sub(r"[^A-Za-z0-9_.-]", "_", self.label)
         self.checkpoint_path = (
             os.path.join(parallel.run_dir, f"{safe_label}.ckpt.json")
@@ -248,8 +243,6 @@ class ParallelEnumerator:
                 "parallel enumeration requires share_prefixes=True "
                 "(sequence-replay mode is a serial ablation)"
             )
-        if config.keep_functions:
-            raise ValueError("keep_functions is not supported in parallel runs")
         if config.checkpoint_path is not None or config.resume:
             raise ValueError(
                 "use ParallelConfig(run_dir=..., resume=...) instead of "

@@ -15,7 +15,6 @@ from repro.search.annealing import SimulatedAnnealer
 from repro.search.bandit import POLICIES as BANDIT_POLICIES
 from repro.search.bandit import BanditSearcher
 from repro.search.common import (
-    GeneticSearchResult,
     SearchResult,
     SearchStrategy,
     codesize_objective,
@@ -54,7 +53,6 @@ __all__ = [
     "CostModel",
     "CostVector",
     "DEFAULT_OUT",
-    "GeneticSearchResult",
     "GeneticSearcher",
     "HarnessConfig",
     "HillClimber",

@@ -21,10 +21,6 @@ budget currency:
   that produce an already-seen instance are not re-priced, the
   section 4.2 redundancy detection applied to searching), and
   attempted-phase accounting.
-
-:class:`SearchResult` was extracted from the GA-centric
-``search/genetic.py`` (where it was ``GeneticSearchResult``); the old
-name is re-exported there and here for backward compatibility.
 """
 
 from __future__ import annotations
@@ -54,9 +50,8 @@ def dynamic_count_objective(run: Callable[[Function], int]):
 class SearchResult:
     """Outcome of one search run, whatever the strategy.
 
-    The first six fields (and their positional order) are the legacy
-    ``GeneticSearchResult`` contract; ``strategy`` and
-    ``attempted_phases`` are the search-lab additions and keyword-only.
+    The first six fields are positional; ``strategy`` and
+    ``attempted_phases`` are keyword-only.
     """
 
     __slots__ = (
@@ -115,10 +110,6 @@ class SearchResult:
             f"seq={''.join(self.best_sequence)} evals={self.evaluations} "
             f"attempted={self.attempted_phases}>"
         )
-
-
-#: backward-compatible alias (the pre-extraction name)
-GeneticSearchResult = SearchResult
 
 
 class SearchStrategy:

@@ -187,8 +187,7 @@ class CostModel:
         if node.function is None:
             raise MissingFunctionError(
                 f"{self.oracle.function_name}: node #{node.node_id} carries "
-                "no function instance; enumerate with keep_functions=True or "
-                "rebuild the instances with "
+                "no function instance; rebuild the instances with "
                 "repro.core.dag.materialize_instances(dag, root_func)"
             )
         return self.vector_for(node.function, node.cf_crc)
@@ -204,9 +203,8 @@ class CostModel:
         if not priced and leaves:
             raise MissingFunctionError(
                 f"{self.oracle.function_name}: none of the {len(leaves)} "
-                "leaves carries a function instance; enumerate with "
-                "keep_functions=True or rebuild the instances with "
-                "repro.core.dag.materialize_instances(dag, root_func)"
+                "leaves carries a function instance; rebuild the instances "
+                "with repro.core.dag.materialize_instances(dag, root_func)"
             )
         return priced
 
@@ -220,8 +218,7 @@ class CostModel:
         if not priced and dag.nodes:
             raise MissingFunctionError(
                 f"{self.oracle.function_name}: no node carries a function "
-                "instance; enumerate with keep_functions=True or rebuild "
-                "the instances with "
+                "instance; rebuild the instances with "
                 "repro.core.dag.materialize_instances(dag, root_func)"
             )
         return priced

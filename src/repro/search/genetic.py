@@ -19,9 +19,9 @@ see ``tests/search/test_genetic.py`` and ``repro search-bench``
 (docs/SEARCH.md).
 
 The shared result type and objectives live in
-:mod:`repro.search.common`; ``GeneticSearchResult``,
-``codesize_objective`` and ``dynamic_count_objective`` are re-exported
-here for backward compatibility.
+:mod:`repro.search.common`; ``codesize_objective`` and
+``dynamic_count_objective`` are re-exported here for backward
+compatibility.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.core.interactions import InteractionAnalysis
 from repro.ir.function import Function
 from repro.opt import PHASE_IDS
 from repro.search.common import (  # noqa: F401  (re-exports)
-    GeneticSearchResult,
     SearchResult,
     SearchStrategy,
     codesize_objective,

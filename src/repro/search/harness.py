@@ -35,12 +35,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.dag import SpaceDAG, materialize_instances
 from repro.core.dynamic import DynamicCountOracle
-from repro.core.enumeration import EnumerationConfig, enumerate_space, _node_key
-from repro.core.fingerprint import fingerprint_function
+from repro.core.enumeration import EnumerationConfig, enumerate_space, root_instance
 from repro.core.interactions import InteractionAnalysis, analyze_interactions
 from repro.ir.function import Function, Program
 from repro.observability import tracer as _obs
-from repro.opt import implicit_cleanup
 from repro.programs import PROGRAMS, compile_benchmark
 from repro.search.annealing import SimulatedAnnealer
 from repro.search.bandit import BanditSearcher
@@ -172,9 +170,8 @@ def quick_config(**overrides) -> HarnessConfig:
 
 
 def _enumeration_config(config: HarnessConfig) -> EnumerationConfig:
-    # keep_functions stays off so store-loaded and freshly enumerated
-    # spaces go through the same materialize_instances path (and the
-    # same store signature).
+    # Store-loaded and freshly enumerated spaces both carry no
+    # instances; both go through the same materialize_instances path.
     return EnumerationConfig(
         max_nodes=config.max_nodes,
         time_limit=config.time_limit,
@@ -195,12 +192,8 @@ def _prepare_space(seed_func: SeedFunction, config: HarnessConfig):
             f"benchmark {seed_func.benchmark!r} has no function "
             f"{seed_func.function!r}"
         )
-    implicit_cleanup(func)
     enum_config = _enumeration_config(config)
-    fingerprint = fingerprint_function(
-        func, keep_text=enum_config.exact, remap=enum_config.remap
-    )
-    root_key = _node_key(fingerprint, func)
+    func, _fingerprint, root_key = root_instance(func, enum_config)
 
     store = SpaceStore(config.store) if config.store else None
     result = None

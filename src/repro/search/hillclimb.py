@@ -14,8 +14,7 @@ from typing import Callable, List, Tuple
 
 from repro.ir.function import Function
 from repro.opt import PHASE_IDS
-from repro.search.common import (  # noqa: F401  (GeneticSearchResult kept importable here)
-    GeneticSearchResult,
+from repro.search.common import (
     SearchResult,
     SearchStrategy,
     codesize_objective,

@@ -42,10 +42,9 @@ from repro.core.batch import BatchCompiler
 from repro.core.enumeration import (
     EnumerationConfig,
     EnumerationResult,
-    _node_key,
     enumerate_space,
+    root_instance,
 )
-from repro.core.fingerprint import fingerprint_function
 from repro.core.interactions import analyze_interactions
 from repro.frontend import CompileError, compile_source
 from repro.ir.printer import format_function
@@ -151,12 +150,7 @@ def _enumerate_one(
     CLI, and parallel runs all share one cache.
     """
     probe_config = _build_config(spec)
-    root = func.clone()
-    implicit_cleanup(root)
-    fingerprint = fingerprint_function(
-        root, keep_text=probe_config.exact, remap=probe_config.remap
-    )
-    root_key = _node_key(fingerprint, root)
+    root_key = root_instance(func, probe_config)[2]
     if store is not None:
         cached = store.get(name, root_key, probe_config)
         if cached is not None:

@@ -151,10 +151,10 @@ class TestStoreErrors:
         func = bench_function("jpeg", "descale")
         config = EnumerationConfig()
         result = enumerate_space(func, config)
-        from repro.core.enumeration import _node_key
+        from repro.core.enumeration import node_key
         from repro.core.fingerprint import fingerprint_function
 
-        root_key = _node_key(fingerprint_function(func), func)
+        root_key = node_key(fingerprint_function(func), func)
         path = store.put("descale", root_key, config, result)
         assert path is not None
         return store, path, root_key, config

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.dag import materialize_instances
 from repro.core.dynamic import DynamicCountOracle, MissingFunctionError
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.frontend import compile_source
@@ -33,8 +34,9 @@ def space():
     implicit_cleanup(func)
     result = enumerate_space(
         func,
-        EnumerationConfig(max_nodes=800, max_levels=6, keep_functions=True),
+        EnumerationConfig(max_nodes=800, max_levels=6),
     )
+    materialize_instances(result.dag, func)
     return program, result
 
 
@@ -74,10 +76,9 @@ class TestInference:
         program = compile_source(source)
         func = program.function("clamp")
         implicit_cleanup(func)
-        result = enumerate_space(
-            func, EnumerationConfig(keep_functions=True)
-        )
+        result = enumerate_space(func, EnumerationConfig())
         assert result.completed and result.dag.leaves()
+        materialize_instances(result.dag, func)
         oracle = DynamicCountOracle(
             program, "clamp", lambda vm: vm.run("clamp", (300,))
         )
@@ -96,7 +97,7 @@ class TestInference:
         function = bare.function
         try:
             bare.function = None
-            with pytest.raises(ValueError, match="keep_functions"):
+            with pytest.raises(ValueError, match="materialize_instances"):
                 oracle.dynamic_count(bare)
         finally:
             bare.function = function
@@ -113,9 +114,8 @@ class TestInference:
         finally:
             bare.function = function
         # a ValueError subclass, so pre-existing handlers keep working,
-        # and the message points at both escape hatches
+        # and the message points at the fix
         assert issubclass(MissingFunctionError, ValueError)
-        assert "keep_functions" in str(excinfo.value)
         assert "materialize_instances" in str(excinfo.value)
 
     def test_count_for_matches_node_pricing(self, space):

@@ -1,11 +1,10 @@
-"""Hot-path engine tests: streaming fingerprints, the analysis cache,
-the single-clone fast path, and the phase-transition memo.
+"""Hot-path engine tests: the zlib CRC, the analysis cache, the
+single-clone fast path, and the phase-transition memo.
 
 Every optimization here is only admissible because it is invisible:
 each test pins some piece of the ``bit-identical to the slow path``
-contract — streaming vs render-then-hash fingerprints, zlib vs
-from-scratch CRC, cached vs recomputed analyses, memoized vs real
-phase transitions.
+contract — zlib vs from-scratch CRC, cached vs recomputed analyses,
+memoized vs real phase transitions.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import zlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import crc as crc_mod
 from repro.core.crc import crc32, crc32_reference
 from repro.core.enumeration import EnumerationConfig, enumerate_space
-from repro.core import fingerprint as fp_mod
 from repro.core.fingerprint import fingerprint_function
 from repro.core.memo import MemoEntry, TransitionMemo
 from repro.opt import (
@@ -60,11 +57,6 @@ def _mutated_functions(seed: int = 2006, count: int = 10, length: int = 6):
         yield f"{label}+{''.join(applied)}", func
 
 
-def _legacy_fingerprint(func, keep_text=False, remap=True):
-    """The render-then-hash oracle the streaming pipeline must match."""
-    return fp_mod._legacy_fingerprint(func, keep_text, remap)
-
-
 def dag_snapshot(dag):
     return tuple(
         (
@@ -90,52 +82,13 @@ def result_signature(result):
 
 
 # ----------------------------------------------------------------------
-# Streaming fingerprint == legacy render-then-hash fingerprint
+# zlib CRC == from-scratch table CRC
 # ----------------------------------------------------------------------
-
-
-class TestStreamingFingerprint:
-    def test_matches_legacy_on_every_seed_function(self):
-        for label, func in _all_seed_functions():
-            assert fingerprint_function(func) == _legacy_fingerprint(func), label
-
-    def test_matches_legacy_on_phase_mutated_functions(self):
-        for label, func in _mutated_functions():
-            assert fingerprint_function(func) == _legacy_fingerprint(func), label
-
-    def test_matches_legacy_under_reference_crc(self):
-        # The table CRC and zlib must agree through the streaming
-        # chunk-chaining too, not just on whole buffers.
-        previous = crc_mod.set_reference_mode(True)
-        try:
-            for label, func in list(_all_seed_functions())[:8]:
-                assert fingerprint_function(func) == _legacy_fingerprint(
-                    func
-                ), label
-        finally:
-            crc_mod.set_reference_mode(previous)
-
-    def test_keep_text_matches_streaming_hashes(self):
-        # Exact mode renders the text; its hashes must equal the
-        # streaming ones bit for bit.
-        for label, func in list(_all_seed_functions())[:8]:
-            with_text = fingerprint_function(func, keep_text=True)
-            streamed = fingerprint_function(func)
-            assert with_text.key == streamed.key, label
-            assert with_text.cf_crc == streamed.cf_crc, label
-            assert with_text.text is not None
-
-    def test_no_remap_ablation_unchanged(self):
-        for label, func in list(_all_seed_functions())[:8]:
-            assert fingerprint_function(func, remap=False) == _legacy_fingerprint(
-                func, remap=False
-            ), label
 
 
 @given(st.lists(st.binary(max_size=64), max_size=8))
 def test_crc_chaining_matches_whole_buffer(chunks):
-    # The streaming pipeline relies on crc32(b, crc32(a)) == crc32(a+b)
-    # for both implementations.
+    # Both implementations chain: crc32(b, crc32(a)) == crc32(a+b).
     joined = b"".join(chunks)
     value = 0
     reference = 0
@@ -156,19 +109,35 @@ def test_reference_crc_matches_zlib_with_seed(data, seed):
 # ----------------------------------------------------------------------
 
 
+#: (benchmark, function, node cap): descale's space completes; the
+#: capped init_bits_table run adds loop unrolling (g), loop
+#: transformations (l), code abstraction (n) and strength reduction (q)
+PARANOID_SWEEP = (
+    ("jpeg", "descale", None),
+    ("bitcount", "init_bits_table", 300),
+)
+
+
 class TestAnalysisCache:
     def test_paranoid_mode_finds_no_stale_analyses(self):
-        # Paranoid mode recomputes every analysis and raises if a
-        # cached one diverges — a full enumeration is a sweep over
-        # every phase's invalidation discipline.
-        func = compile_benchmark("jpeg").functions["descale"]
-        implicit_cleanup(func)
+        # Paranoid mode recomputes every cached object-IR analysis and
+        # raises if one diverges, so an object-engine enumeration is a
+        # sweep over every object phase's invalidation discipline.  The
+        # flat engine caches no object analyses: it would check nothing.
+        active = set()
         previous = set_paranoid(True)
         try:
-            result = enumerate_space(func, EnumerationConfig())
+            for bench_name, name, cap in PARANOID_SWEEP:
+                func = compile_benchmark(bench_name).functions[name]
+                result = enumerate_space(
+                    func, EnumerationConfig(engine="object", max_nodes=cap)
+                )
+                assert result.completed or cap is not None, name
+                for node in result.dag.nodes.values():
+                    active.update(node.active)
         finally:
             set_paranoid(previous)
-        assert result.completed
+        assert set("bcghijklnqrsu") <= active
 
 
 # ----------------------------------------------------------------------

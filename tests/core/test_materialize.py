@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.dag import materialize_instances
 from repro.core.enumeration import EnumerationConfig, enumerate_space
+from repro.core.fingerprint import fingerprint_function
 from repro.frontend import compile_source
+from repro.opt import apply_phase, implicit_cleanup, phase_by_id
+from repro.programs import compile_benchmark
 from tests.conftest import MAXI_SRC, compile_fn
 
 CLAMP_SRC = """
@@ -24,11 +27,19 @@ SOURCES = (
 def bare_and_kept(src, name):
     """Enumerate the same function twice: keys only, and with instances."""
     bare = enumerate_space(compile_fn(src, name), EnumerationConfig())
-    kept = enumerate_space(
-        compile_fn(src, name), EnumerationConfig(keep_functions=True)
-    )
+    kept = enumerate_space(compile_fn(src, name), EnumerationConfig())
     assert bare.completed and kept.completed
+    materialize_instances(kept.dag, compile_fn(src, name))
     return bare, kept
+
+
+def first_parent_recipe(dag, node_id):
+    """Phase sequence along first in-edges from the root to *node_id*."""
+    recipe = []
+    while dag.nodes[node_id].parents:
+        node_id, phase_id = dag.nodes[node_id].parents[0]
+        recipe.append(phase_id)
+    return recipe[::-1]
 
 
 class TestMaterialize:
@@ -55,6 +66,14 @@ class TestMaterialize:
                 node.function.num_instructions()
                 == twin.function.num_instructions()
             ), node_id
+            # and both match replaying one recorded phase sequence from
+            # the root, independently of the topological walk
+            replayed = compile_fn(src, name)
+            for phase_id in first_parent_recipe(bare.dag, node_id):
+                assert apply_phase(replayed, phase_by_id(phase_id))
+            assert fingerprint_function(replayed) == fingerprint_function(
+                node.function
+            ), node_id
 
     def test_rejects_the_wrong_root(self):
         bare, _kept = bare_and_kept(MAXI_SRC, "maxi")
@@ -75,6 +94,18 @@ class TestMaterialize:
         _bare, kept = bare_and_kept(MAXI_SRC, "maxi")
         # nodes already carry functions: nothing to replay
         assert materialize_instances(kept.dag, compile_fn(MAXI_SRC, "maxi")) == 0
+
+    def test_replays_each_nodes_creating_edge(self):
+        # Node #705 of this capped space is reached by three in-edges
+        # whose instances share its key but not their unremapped names
+        # or label counter; only the creating edge rebuilds the instance
+        # on which its recorded out-edges replay exactly.
+        func = compile_benchmark("bitcount").functions["init_bits_table"]
+        implicit_cleanup(func)
+        result = enumerate_space(func, EnumerationConfig(max_nodes=2000))
+        applied = materialize_instances(result.dag, func)
+        assert applied == len(result.dag) - 1
+        assert all(node.function is not None for node in result.dag.nodes.values())
 
     def test_does_not_mutate_the_callers_function(self):
         bare, _kept = bare_and_kept(MAXI_SRC, "maxi")

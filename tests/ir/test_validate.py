@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.batch import BatchCompiler
+from repro.core.dag import materialize_instances
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.ir.function import LocalSlot
 from repro.ir.instructions import Assign, Jump
@@ -30,10 +31,10 @@ class TestCleanFunctions:
 
     def test_every_enumerated_instance_validates(self):
         """No false positives across a whole enumerated space."""
-        result = enumerate_space(
-            compile_fn(MAXI_SRC, "maxi"), EnumerationConfig(keep_functions=True)
-        )
+        root = compile_fn(MAXI_SRC, "maxi")
+        result = enumerate_space(root, EnumerationConfig())
         assert result.completed
+        materialize_instances(result.dag, root)
         for node in result.dag.nodes.values():
             assert node.function is not None
             validate_ir(node.function, DEFAULT_TARGET)

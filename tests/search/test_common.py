@@ -3,7 +3,6 @@
 import pytest
 
 from repro.search.common import (
-    GeneticSearchResult,
     SearchResult,
     SearchStrategy,
     codesize_objective,
@@ -16,18 +15,6 @@ def maxi():
 
 
 class TestBackwardCompat:
-    def test_legacy_name_is_an_alias(self):
-        assert GeneticSearchResult is SearchResult
-
-    def test_legacy_name_importable_from_old_homes(self):
-        from repro.search.genetic import GeneticSearchResult as from_genetic
-        from repro.search.hillclimb import GeneticSearchResult as from_hillclimb
-        from repro.search import GeneticSearchResult as from_package
-
-        assert from_genetic is SearchResult
-        assert from_hillclimb is SearchResult
-        assert from_package is SearchResult
-
     def test_legacy_positional_construction(self):
         result = SearchResult(("c", "s"), 7.0, None, 3, 1, [9.0, 7.0])
         assert result.best_sequence == ("c", "s")

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.dag import materialize_instances
 from repro.core.dynamic import DynamicCountOracle, MissingFunctionError
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.frontend import compile_source
@@ -42,8 +43,9 @@ def space():
     implicit_cleanup(func)
     result = enumerate_space(
         func,
-        EnumerationConfig(max_nodes=800, max_levels=6, keep_functions=True),
+        EnumerationConfig(max_nodes=800, max_levels=6),
     )
+    materialize_instances(result.dag, func)
     return program, result
 
 
@@ -159,7 +161,7 @@ class TestCostModel:
         )
         with pytest.raises(MissingFunctionError, match="materialize_instances"):
             model.price_space(bare_result.dag)
-        with pytest.raises(ValueError, match="keep_functions"):
+        with pytest.raises(ValueError, match="materialize_instances"):
             model.node_vector(bare_result.dag.root)
 
 

@@ -10,6 +10,7 @@ attempted phases at comparable code quality.
 import pytest
 
 from repro.core.batch import BatchCompiler
+from repro.core.dag import materialize_instances
 from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
 from repro.core.probabilistic import ProbabilisticCompiler
@@ -30,10 +31,9 @@ def enumerate_with_functions(source, name):
     program = compile_source(source)
     func = program.function(name)
     implicit_cleanup(func)
-    result = enumerate_space(
-        func, EnumerationConfig(exact=True, keep_functions=True)
-    )
+    result = enumerate_space(func, EnumerationConfig(exact=True))
     assert result.completed
+    materialize_instances(result.dag, func)
     return program, func, result
 
 
