@@ -61,11 +61,11 @@ def test_remapping_ablation(benchmark):
     for bench_name, function_name in REMAP_STUDY:
         with_remap = enumerate_space(
             fresh(bench_name, function_name),
-            EnumerationConfig(max_nodes=8000, time_limit=90, remap=True),
+            EnumerationConfig(max_nodes=8000, remap=True),
         )
         without = enumerate_space(
             fresh(bench_name, function_name),
-            EnumerationConfig(max_nodes=8000, time_limit=90, remap=False),
+            EnumerationConfig(max_nodes=8000, remap=False),
         )
         growth = len(without.dag) / len(with_remap.dag)
         lines.append(

@@ -32,9 +32,7 @@ def enumerate_with(bench_name, function_name, share_prefixes):
     implicit_cleanup(func)
     return enumerate_space(
         func,
-        EnumerationConfig(
-            share_prefixes=share_prefixes, max_nodes=3000, time_limit=120
-        ),
+        EnumerationConfig(share_prefixes=share_prefixes, max_nodes=3000),
     )
 
 

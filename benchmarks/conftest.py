@@ -18,22 +18,29 @@ bench_figure7.py       Figure 7 — weighted DAG statistics
 Each bench writes its rendered table to ``benchmarks/results/`` and
 also times the underlying computation with pytest-benchmark.
 
-Environment knobs (the defaults keep a full run around 10-20 minutes):
+The study set is the paper's workload: all 71 functions of
+``repro.programs.all_study_functions()``, each enumerated under one
+node cap (``max_nodes``) and no time limit.  Which functions complete,
+and so every rendered table apart from its timing columns, depends
+only on the code and the cap, never on the host's speed.  Table 3
+reports how many of the 71 complete at the cap, next to the paper's
+109/111; Tables 4-7 and Figures 1/2/4 and 7 are derived from the same
+DAGs.  Functions whose space exceeds the cap are reported N/A, as the
+paper marks its two over-budget functions.
 
-- ``REPRO_BENCH_FULL=1``       — study every benchmark function
-  (otherwise a representative subset);
-- ``REPRO_BENCH_MAX_NODES``    — per-function instance cap (default 4000);
-- ``REPRO_BENCH_TIME_LIMIT``   — per-function seconds cap (default 45);
-- ``REPRO_BENCH_JOBS``         — enumerate the study set with the
-  parallel service (``repro.parallel``) at this worker count;
-- ``REPRO_BENCH_STORE``        — persistent merged-space store
+Environment knobs:
+
+- ``REPRO_BENCH_MAX_NODES`` — the per-function node cap (default
+  ``STUDY_CAP``; CI's smoke run uses 500);
+- ``REPRO_BENCH_JOBS``      — enumerate the study set through the
+  per-function process pool (``repro.parallel``) at this worker
+  count; its spaces are bit-identical to serial, so every table is
+  unchanged;
+- ``REPRO_BENCH_STORE``     — persistent merged-space store
   directory; completed spaces are reused across runs.
 
 Every bench run also records per-test wall-clock timings in
 ``benchmarks/results/timings.json``.
-
-Functions whose space exceeds the caps are reported N/A, exactly as
-the paper marks its two over-budget functions.
 """
 
 from __future__ import annotations
@@ -49,42 +56,22 @@ from repro.core.enumeration import EnumerationConfig, enumerate_space
 from repro.core.interactions import analyze_interactions
 from repro.core.stats import FunctionSpaceStats, static_function_facts
 from repro.opt import implicit_cleanup
-from repro.programs import PROGRAMS, compile_benchmark
+from repro.programs import PROGRAMS, all_study_functions, compile_benchmark
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: representative subset: a mix of tiny/medium/loopy/straight-line
-#: functions across all six benchmarks; most enumerate completely
-#: under the default caps, a few exceed them and report N/A (as the
-#: paper's fft functions do)
-QUICK_STUDY = [
-    ("bitcount", "bit_count"),  # exceeds default caps -> N/A
-    ("bitcount", "ntbl_bitcount"),
-    ("bitcount", "tbl_bitcount"),
-    ("bitcount", "main"),
-    ("dijkstra", "next_rand"),
-    ("dijkstra", "enqueue_min"),  # exceeds default caps -> N/A
-    ("fft", "fcos"),
-    ("jpeg", "descale"),
-    ("jpeg", "range_limit"),
-    ("jpeg", "rgb_to_y"),
-    ("jpeg", "rgb_to_cb"),
-    ("sha", "rol"),
-    ("sha", "sha_init"),
-    ("stringsearch", "set_pattern"),
-    ("stringsearch", "strsearch"),
-    ("stringsearch", "plant_pattern"),  # exceeds default caps -> N/A
-    ("stringsearch", "bmh_init"),  # exceeds default caps -> N/A
-]
+#: the default per-function node cap of every bench run: the largest of
+#: the caps measured (300, 1,000, 2,000; see EXPERIMENTS.md) that keeps
+#: a full serial bench run within ~20 minutes on 2 CPUs
+STUDY_CAP = 2000
+
+
+def study_cap() -> int:
+    return int(os.environ.get("REPRO_BENCH_MAX_NODES", str(STUDY_CAP)))
 
 
 def bench_config(**overrides) -> EnumerationConfig:
-    defaults = dict(
-        max_nodes=int(os.environ.get("REPRO_BENCH_MAX_NODES", "4000")),
-        time_limit=float(os.environ.get("REPRO_BENCH_TIME_LIMIT", "45")),
-    )
-    defaults.update(overrides)
-    return EnumerationConfig(**defaults)
+    return EnumerationConfig(max_nodes=study_cap(), **overrides)
 
 
 def parallel_knobs():
@@ -92,16 +79,6 @@ def parallel_knobs():
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     store_dir = os.environ.get("REPRO_BENCH_STORE") or None
     return jobs, store_dir
-
-
-def study_functions():
-    if os.environ.get("REPRO_BENCH_FULL"):
-        return [
-            (program.name, function_name)
-            for program in PROGRAMS.values()
-            for function_name in program.study_functions
-        ]
-    return list(QUICK_STUDY)
 
 
 def write_result(name: str, text: str) -> Path:
@@ -114,21 +91,20 @@ def write_result(name: str, text: str) -> Path:
 
 @pytest.fixture(scope="session")
 def enumerated_suite():
-    """(bench, function) -> FunctionSpaceStats for the study set.
+    """(bench, function) -> FunctionSpaceStats for the 71 study functions.
 
     With ``REPRO_BENCH_JOBS>1`` or ``REPRO_BENCH_STORE`` set, the study
     set is enumerated through the parallel service; its spaces are
-    bit-identical to serial, so every downstream table is
-    unchanged.
+    bit-identical to serial, so every downstream table is unchanged.
     """
-    study = study_functions()
+    programs = {name: compile_benchmark(name) for name in PROGRAMS}
     functions, all_facts = {}, {}
-    for bench_name, function_name in study:
-        program = compile_benchmark(bench_name)
-        func = program.functions[function_name]
+    for program, function_name in all_study_functions():
+        key = (program.name, function_name)
+        func = programs[program.name].functions[function_name]
         implicit_cleanup(func)
-        functions[(bench_name, function_name)] = func
-        all_facts[(bench_name, function_name)] = static_function_facts(func)
+        functions[key] = func
+        all_facts[key] = static_function_facts(func)
 
     jobs, store_dir = parallel_knobs()
     if jobs > 1 or store_dir:
@@ -140,14 +116,14 @@ def enumerated_suite():
         )
 
         requests = [
-            EnumerationRequest(f"{bench}.{name}", functions[(bench, name)])
-            for bench, name in study
+            EnumerationRequest(f"{bench}.{name}", func)
+            for (bench, name), func in functions.items()
         ]
         parallel = ParallelConfig(
             jobs=jobs, store=SpaceStore(store_dir) if store_dir else None
         )
         results = dict(
-            zip(study, ParallelEnumerator(bench_config(), parallel).enumerate(requests))
+            zip(functions, ParallelEnumerator(bench_config(), parallel).enumerate(requests))
         )
     else:
         results = {
@@ -161,7 +137,7 @@ def enumerated_suite():
             *all_facts[(bench_name, function_name)],
             results[(bench_name, function_name)],
         )
-        for bench_name, function_name in study
+        for bench_name, function_name in functions
     }
 
 

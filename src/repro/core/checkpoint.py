@@ -3,10 +3,13 @@
 A checkpoint is a single JSON document capturing everything the
 enumerator needs to continue a run bit-identically: the space DAG, the
 current frontier (with its in-memory function instances serialized as
-printed RTL), the replay recipes, the budget counters, and the
-quarantine log.  Checkpoints are written atomically (temp file +
-``os.replace``) at function-instance boundaries, so a file on disk is
-always internally consistent no matter when the process died.
+printed RTL), the budget counters, and the quarantine log.  Checkpoints
+are written atomically (temp file + ``os.replace``) at function-instance
+boundaries, so a file on disk is always internally consistent no matter
+when the process died.  Replay mode (``share_prefixes=False``) keeps no
+frontier instances: it rebuilds each one along its creating edges
+(``parents[0]``), which the DAG already records.  Checkpoints written
+before that still carry a ``recipes`` key; the loader ignores it.
 
 File layout (all keys always present)::
 
@@ -26,7 +29,6 @@ File layout (all keys always present)::
       "dag":            {"root_id": 0, "nodes": [...]},
       "root_function":  {...},         // serialized Function
       "functions":      {"17": {...}}, // frontier instances (RTL text)
-      "recipes":        {"17": "scb"}, // root phase paths (replay mode)
       "texts":          [[key, text]], // exact-mode collision texts
       "quarantine":     [...]          // QuarantineRecord dicts
     }
@@ -81,7 +83,6 @@ ENUMERATION_KEYS = (
     "dag",
     "root_function",
     "functions",
-    "recipes",
     "texts",
     "quarantine",
 )
@@ -229,6 +230,13 @@ def dag_to_dict(dag: SpaceDAG) -> Dict[str, object]:
             for key, node_id in dag.aliases.items()
         ]
     return data
+
+
+def dag_digest(dag: SpaceDAG) -> str:
+    """sha256 of the DAG's checkpoint form (node keys, edges, dormant
+    sets, levels): the behaviour contract the golden digests pin."""
+    payload = json.dumps(dag_to_dict(dag), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def dag_from_dict(function_name: str, data: Dict[str, object]) -> SpaceDAG:

@@ -111,6 +111,15 @@ class SpaceDAG:
     def leaves(self) -> List[SpaceNode]:
         return [node for node in self.nodes.values() if node.is_leaf()]
 
+    def creating_path(self, node_id: int) -> List[str]:
+        """Phase ids along the creating edges (each node's first
+        in-edge) from the root to *node_id*."""
+        path = []
+        while self.nodes[node_id].parents:
+            node_id, phase_id = self.nodes[node_id].parents[0]
+            path.append(phase_id)
+        return path[::-1]
+
     def depth(self) -> int:
         """Largest active phase sequence length (Table 3's Len)."""
         return max((node.level for node in self.nodes.values()), default=0)

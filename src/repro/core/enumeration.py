@@ -533,9 +533,6 @@ class SpaceEnumerator:
             self.collapser.register(
                 self.collapser.digest_of(root_func), root.node_id, root_func
             )
-        # Paths from the root, used to replay sequences when prefix
-        # sharing is disabled.
-        self.recipes: Dict[int, Tuple[str, ...]] = {root.node_id: ()}
         self.frontier: List[SpaceNode] = [root]
         self.frontier_index = 0
         self.next_frontier: List[SpaceNode] = []
@@ -593,10 +590,6 @@ class SpaceEnumerator:
             if self.flat_engine:
                 restored = to_flat(restored)
             self.dag.nodes[int(node_id)].function = restored
-        self.recipes = {
-            int(node_id): tuple(recipe)
-            for node_id, recipe in state["recipes"].items()
-        }
         self.texts = {
             ckpt.key_from_json(key): text for key, text in state["texts"]
         }
@@ -714,7 +707,6 @@ class SpaceEnumerator:
             for child in reversed(added_nodes):
                 del self.dag.nodes[child.node_id]
                 self.dag.by_key.pop(child.key, None)
-                self.recipes.pop(child.node_id, None)
                 if config.exact:
                     self.texts.pop(child.key, None)
             for key in reversed(added_aliases):
@@ -789,9 +781,10 @@ class SpaceEnumerator:
                     parent = node.function
                 else:
                     # Figure 6 baseline: rebuild the prefix from the
-                    # unoptimized function instead of reusing it.
+                    # unoptimized function instead of reusing it, by
+                    # replaying the creating edges from the root.
                     parent = self.root_func.clone()
-                    for prior_id in self.recipes[node.node_id]:
+                    for prior_id in self.dag.creating_path(node.node_id):
                         self.applied += 1
                         apply_phase(parent, config.phase_index[prior_id])
                 # One transition call per attempt, each making at most
@@ -898,7 +891,6 @@ class SpaceEnumerator:
                 added_digests.append((digest, child.node_id))
             if config.exact:
                 self.texts[key] = text
-            self.recipes[child.node_id] = self.recipes[node.node_id] + (phase.id,)
             self.dag.add_edge(node, phase.id, child)
             added_nodes.append(child)
             added_edges.append((node, phase.id, child))
@@ -942,10 +934,6 @@ class SpaceEnumerator:
                     if not isinstance(func, Function):
                         func = from_flat(func)  # flat engine frontier
                     functions[str(node.node_id)] = ckpt.function_to_dict(func)
-        recipes = {
-            str(node.node_id): "".join(self.recipes.get(node.node_id, ()))
-            for node in pending
-        }
         state: Dict[str, object] = {
             "function_name": self.input_func.name,
             "config": config.signature(),
@@ -960,7 +948,6 @@ class SpaceEnumerator:
             "dag": ckpt.dag_to_dict(self.dag),
             "root_function": ckpt.function_to_dict(self.root_func),
             "functions": functions,
-            "recipes": recipes,
             "texts": [
                 [ckpt.key_to_json(key), text] for key, text in self.texts.items()
             ],

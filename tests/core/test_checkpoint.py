@@ -141,6 +141,40 @@ class TestResumeBitIdentity:
         assert result.completed
         assert dag_snapshot(result.dag) == dag_snapshot(baseline.dag)
 
+    def test_replay_mode_resume_accepts_old_recipes_key(self, tmp_path):
+        # Replay mode (no prefix sharing) rebuilds instances along the
+        # DAG's creating edges; checkpoints from before that carried
+        # the same paths under "recipes", and must still resume.
+        baseline = enumerate_space(
+            bench_function("sha", "rol"), EnumerationConfig(share_prefixes=False)
+        )
+        path = str(tmp_path / "ckpt.json")
+        aborted = enumerate_space(
+            bench_function("sha", "rol"),
+            EnumerationConfig(
+                share_prefixes=False, max_nodes=25, checkpoint_path=path
+            ),
+        )
+        assert not aborted.completed
+        state = ckpt.load_checkpoint(path, require=ckpt.ENUMERATION_KEYS)
+        assert "recipes" not in state and state["functions"] == {}
+        state["recipes"] = {
+            str(node_id): "".join(aborted.dag.creating_path(node_id))
+            for node_id in state["frontier"] + state["next_frontier"]
+        }
+        ckpt.save_checkpoint(path, state)
+
+        resumed = enumerate_space(
+            bench_function("sha", "rol"),
+            EnumerationConfig(
+                share_prefixes=False, checkpoint_path=path, resume=True
+            ),
+        )
+        assert resumed.completed
+        assert dag_snapshot(resumed.dag) == dag_snapshot(baseline.dag)
+        assert resumed.attempted_phases == baseline.attempted_phases
+        assert resumed.phases_applied == baseline.phases_applied
+
     def test_checkpoint_removed_on_completion(self, tmp_path):
         path = tmp_path / "ckpt.json"
         result = enumerate_space(

@@ -8,9 +8,6 @@ with every result statistic an engine could plausibly skew.  The
 companion round-trip tests live in ``tests/ir/test_flat.py``.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from repro.core import checkpoint as ckpt
@@ -23,14 +20,6 @@ from repro.search.harness import SEED_FUNCTIONS
 from tests.conftest import GCD_SRC, MAXI_SRC, SUM_ARRAY_SRC, compile_fn
 
 
-def dag_digest(dag) -> str:
-    """Content digest of the fully serialized DAG (nodes, edges,
-    phase outcomes — everything a checkpoint would persist)."""
-    return hashlib.sha256(
-        json.dumps(ckpt.dag_to_dict(dag), sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
-
 def both_engines(func, **overrides):
     results = {}
     for engine in ("object", "flat"):
@@ -41,7 +30,7 @@ def both_engines(func, **overrides):
 
 
 def assert_results_identical(obj, flat):
-    assert dag_digest(obj.dag) == dag_digest(flat.dag)
+    assert ckpt.dag_digest(obj.dag) == ckpt.dag_digest(flat.dag)
     assert obj.attempted_phases == flat.attempted_phases
     assert obj.phases_applied == flat.phases_applied
     assert obj.completed == flat.completed
@@ -86,7 +75,7 @@ class TestEngineParity:
         warm = enumerate_space(
             func.clone(), EnumerationConfig(engine="flat", memo=memo)
         )
-        assert dag_digest(warm.dag) == dag_digest(reference.dag)
+        assert ckpt.dag_digest(warm.dag) == ckpt.dag_digest(reference.dag)
 
 
 class TestEngineGate:
@@ -115,4 +104,4 @@ class TestEngineGate:
         )
         assert calls, "the wrapped phase never executed"
         reference = enumerate_space(func.clone(), EnumerationConfig())
-        assert dag_digest(result.dag) == dag_digest(reference.dag)
+        assert ckpt.dag_digest(result.dag) == ckpt.dag_digest(reference.dag)

@@ -33,15 +33,6 @@ def bare_and_kept(src, name):
     return bare, kept
 
 
-def first_parent_recipe(dag, node_id):
-    """Phase sequence along first in-edges from the root to *node_id*."""
-    recipe = []
-    while dag.nodes[node_id].parents:
-        node_id, phase_id = dag.nodes[node_id].parents[0]
-        recipe.append(phase_id)
-    return recipe[::-1]
-
-
 class TestMaterialize:
     @pytest.mark.parametrize("src,name", SOURCES)
     def test_rebuilds_every_instance(self, src, name):
@@ -69,7 +60,7 @@ class TestMaterialize:
             # and both match replaying one recorded phase sequence from
             # the root, independently of the topological walk
             replayed = compile_fn(src, name)
-            for phase_id in first_parent_recipe(bare.dag, node_id):
+            for phase_id in bare.dag.creating_path(node_id):
                 assert apply_phase(replayed, phase_by_id(phase_id))
             assert fingerprint_function(replayed) == fingerprint_function(
                 node.function
