@@ -56,18 +56,8 @@ from repro.core.memo import TransitionMemo
 from repro.ir.flat import flat_fingerprint, from_flat, to_flat
 from repro.ir.function import Function, Program
 from repro.observability import tracer as _obs
-from repro.opt import (
-    PHASES,
-    Phase,
-    apply_phase,
-    attempt_phase_on_clone,
-    implicit_cleanup,
-)
+from repro.opt import PHASES, Phase, attempt_phase_on_clone, implicit_cleanup
 from repro.opt.flat import attempt_phase_on_flat
-
-#: the stock phase instances, by id — the flat kernels are verified
-#: against exactly these objects (see SpaceEnumerator.flat_engine)
-_CANONICAL_PHASES = {phase.id: phase for phase in PHASES}
 from repro.robustness.faults import FaultInjector
 from repro.robustness.guard import (
     DifferentialTester,
@@ -157,13 +147,12 @@ class EnumerationConfig:
                 f"bad sanitize mode {sanitize!r}; expected 'fast' or 'full'"
             )
         self.sanitize = sanitize
-        #: expansion engine: "flat" runs the unguarded prefix-sharing
-        #: hot path on the flat IR (repro.ir.flat + repro.opt.flat);
-        #: "object" is the legacy engine, retained for differential
-        #: testing.  The two produce bit-identical DAGs, so — like the
-        #: memo — the engine stays out of ``signature()``.  Guards,
-        #: exact mode, the remapping ablation, and replay mode need
-        #: instruction objects and silently use the object engine.
+        #: expansion engine: "flat" runs every unguarded enumeration
+        #: on the flat IR (repro.ir.flat + repro.opt.flat); "object" is
+        #: the legacy engine, retained for differential testing.  The
+        #: two produce bit-identical DAGs, so — like the memo — the
+        #: engine stays out of ``signature()``.  Guards execute real
+        #: object-IR phases, so a guarded run uses the object engine.
         if engine not in ("flat", "object"):
             raise ValueError(
                 f"bad engine {engine!r}; expected 'flat' or 'object'"
@@ -311,25 +300,9 @@ class SpaceEnumerator:
             )
             else None
         )
-        # The flat engine replaces only the same unguarded
-        # prefix-sharing transition the memo does, and additionally
-        # needs the remapped fingerprint (no exact texts, no remapping
-        # ablation).  Kernels dispatch on ``phase.id``, so a
-        # custom phase object carrying a stock id (a test wrapper, an
-        # instrumented phase) must also force the object engine — only
-        # the canonical phase instances are known to match their
-        # kernels.  Anything else falls back to objects.
-        self.flat_engine = (
-            self.config.engine == "flat"
-            and self.config.share_prefixes
-            and self.guard is None
-            and self.config.remap
-            and not self.config.exact
-            and all(
-                _CANONICAL_PHASES.get(phase.id) is phase
-                for phase in self.config.phases
-            )
-        )
+        # The flat engine runs every unguarded transition; a guard
+        # vets real object-IR phase applications.
+        self.flat_engine = self.config.engine == "flat" and self.guard is None
         # Semantic collapse (docs/COLLAPSE.md): merge decisions live in
         # a SemanticCollapser, whose state round-trips through
         # checkpoints.  Parallel workers run this same enumerator, so
@@ -526,7 +499,10 @@ class SpaceEnumerator:
         self.attempted = 0
         self.applied = 0
         root = self.dag.add_node(root_key, 0, root_fp.num_insts, root_fp.cf_crc)
-        root.function = to_flat(root_func) if self.flat_engine else root_func
+        if config.share_prefixes:
+            # Replay rebuilds every parent from root_func, so it pins no
+            # instance on a node (and checkpoints none).
+            root.function = to_flat(root_func) if self.flat_engine else root_func
         if config.exact:
             self.texts[root_key] = root_fp.text
         if self.collapser is not None:
@@ -782,11 +758,16 @@ class SpaceEnumerator:
                 else:
                     # Figure 6 baseline: rebuild the prefix from the
                     # unoptimized function instead of reusing it, by
-                    # replaying the creating edges from the root.
-                    parent = self.root_func.clone()
+                    # replaying the creating edges from the root.  A
+                    # dormant step (only after a guard accepted a
+                    # sabotaged candidate) leaves the prefix as it was.
+                    parent, attempt = self.root_func, attempt_phase_on_clone
+                    if self.flat_engine:
+                        parent, attempt = to_flat(parent), attempt_phase_on_flat
                     for prior_id in self.dag.creating_path(node.node_id):
                         self.applied += 1
-                        apply_phase(parent, config.phase_index[prior_id])
+                        prior = config.phase_index[prior_id]
+                        parent = attempt(parent, prior) or parent
                 # One transition call per attempt, each making at most
                 # one clone and none for an illegal phase (see
                 # opt/base.py); the guard vets its candidate before
@@ -827,12 +808,30 @@ class SpaceEnumerator:
                     entry.key, entry.num_insts, entry.cf_crc, None
                 )
             else:
-                if self.flat_engine:
-                    fingerprint = flat_fingerprint(candidate)
-                else:
+                if not self.flat_engine:
                     fingerprint = fingerprint_function(
                         candidate, keep_text=config.exact, remap=config.remap
                     )
+                elif config.exact or not config.remap:
+                    # Exact texts and the unremapped key come from the
+                    # object renderer; under remapping its key must be
+                    # the flat fingerprint's, checked on every candidate.
+                    fingerprint = fingerprint_function(
+                        from_flat(candidate),
+                        keep_text=config.exact,
+                        remap=config.remap,
+                    )
+                    if (
+                        config.remap
+                        and flat_fingerprint(candidate).key != fingerprint.key
+                    ):
+                        raise RuntimeError(
+                            f"{self.input_func.name}: flat and object "
+                            f"fingerprints of phase {phase.id} on "
+                            f"node#{node.node_id} differ"
+                        )
+                else:
+                    fingerprint = flat_fingerprint(candidate)
                 key = node_key(fingerprint, candidate)
                 if entry is not None and (entry.dormant or entry.key != key):
                     raise RuntimeError(
@@ -884,7 +883,7 @@ class SpaceEnumerator:
             child = self.dag.add_node(key, self.level + 1, num_insts, cf_crc)
             if candidate is None:
                 candidate = to_flat(view) if self.flat_engine else view
-            child.function = candidate
+            child.function = candidate if config.share_prefixes else None
             if self.collapser is not None and self.collapser.register(
                 digest, child.node_id, view
             ):
@@ -927,13 +926,12 @@ class SpaceEnumerator:
         config = self.config
         pending = self.frontier[self.frontier_index :] + self.next_frontier
         functions: Dict[str, object] = {}
-        if config.share_prefixes:
-            for node in pending:
-                if node.function is not None:
-                    func = node.function
-                    if not isinstance(func, Function):
-                        func = from_flat(func)  # flat engine frontier
-                    functions[str(node.node_id)] = ckpt.function_to_dict(func)
+        for node in pending:
+            if node.function is not None:
+                func = node.function
+                if not isinstance(func, Function):
+                    func = from_flat(func)  # flat engine frontier
+                functions[str(node.node_id)] = ckpt.function_to_dict(func)
         state: Dict[str, object] = {
             "function_name": self.input_func.name,
             "config": config.signature(),

@@ -20,12 +20,13 @@ original must apply phases to a clone, as the enumerator does).
 Cloning invariant (the enumeration hot path)
 --------------------------------------------
 
-``apply_phase`` mutates its argument in place, which suits the
-compilers that optimize one function along one sequence.  Every caller
-that must keep the parent — the enumerator, the guarded runner, DAG
-materialization — goes through :func:`attempt_phase_on_clone`
-instead, which makes **at most one clone per attempt, and none for a
-trivially-dormant phase**:
+Every object-IR phase attempt runs through
+:func:`attempt_phase_on_clone`, which makes **at most one clone per
+attempt, and none for a trivially-dormant phase**.  Callers that must
+keep the parent — the object engine, the guarded runner, DAG
+materialization — call it directly; ``apply_phase``, for the compilers
+that optimize one function along one sequence, copies an active
+candidate back into its argument.
 
 - legality (``phase.applicable``) is checked *before* cloning, so an
   illegal phase costs nothing;
@@ -36,8 +37,7 @@ trivially-dormant phase**:
   parent-unchanged invariant);
 - a dormant run returns ``None`` and the parent is untouched;
 - an active run returns the clone after the implicit cleanup fixpoint
-  and legality-flag update, exactly as ``apply_phase`` would have left
-  it.
+  and legality-flag update.
 
 :class:`~repro.robustness.guard.GuardedPhaseRunner` runs its checks on
 that same candidate, so a guarded attempt clones no more than an
@@ -89,30 +89,11 @@ def apply_phase(func: Function, phase: Phase) -> bool:
     the implicit register assignment, so a dormant attempt never
     changes the instance (see DESIGN.md).
     """
-    from repro.opt.cleanup import implicit_cleanup
-    from repro.opt.register_assignment import assign_registers
-
-    if not phase.applicable(func):
+    candidate = attempt_phase_on_clone(func, phase)
+    if candidate is None:
         return False
-
-    if phase.requires_assignment and not func.reg_assigned:
-        # Attempt on a scratch copy first so a dormant phase does not
-        # commit the assignment.
-        scratch = func.clone()
-        assign_registers(scratch)
-        scratch.reg_assigned = True
-        if not phase.run(scratch):
-            return False
-        _cleanup_fixpoint(scratch, phase)
-        _copy_into(scratch, func)
-        _note_active(func, phase)
-        return True
-
-    changed = phase.run(func)
-    if changed:
-        _cleanup_fixpoint(func, phase)
-        _note_active(func, phase)
-    return changed
+    _copy_into(candidate, func)
+    return True
 
 
 def attempt_phase_on_clone(func: Function, phase: Phase) -> Optional[Function]:

@@ -23,6 +23,7 @@ from typing import Dict, Optional
 
 from repro.analysis.flat import flat_loops_of
 from repro.ir.flat import FlatFunction, from_flat, to_flat
+from repro.opt import PHASES
 from repro.opt.base import Phase, attempt_phase_on_clone
 from repro.opt.flat.abstraction import CodeAbstractionKernel
 from repro.opt.flat.assign import flat_assign_registers
@@ -63,6 +64,10 @@ FLAT_KERNELS: Dict[str, FlatKernel] = {
     )
 }
 
+#: the stock phase instances, by id — the only objects the kernels are
+#: verified against
+_STOCK_PHASES = {phase.id: phase for phase in PHASES}
+
 
 def flat_cleanup_fixpoint(flat: FlatFunction, kernel: FlatKernel) -> None:
     """Implicit cleanup + re-run to a joint fixpoint (mirror of base)."""
@@ -83,22 +88,25 @@ def attempt_phase_on_flat(
 ) -> Optional[FlatFunction]:
     """Attempt *phase* on a clone of *flat*; ``None`` when dormant.
 
+    Kernels dispatch on ``phase.id`` and are verified against the stock
+    phase instances only, so any other phase object carrying a stock id
+    (a test wrapper, an instrumented phase) takes the object-view
+    fallback for itself alone, like the two phases without a kernel.
+
     *view_cache*, when given, is a per-node scratch dict the fallback
     path stores its materialized object view in, so a caller attempting
     several fallback phases on one node converts once.  The cached view
     is never mutated (``attempt_phase_on_clone`` works on a clone).
     """
-    kernel = FLAT_KERNELS.get(phase.id)
+    stock = _STOCK_PHASES.get(phase.id) is phase
+    kernel = FLAT_KERNELS.get(phase.id) if stock else None
     if kernel is None:
-        # The fallback phases gate on legality flags only, which
-        # FlatFunction carries — check before paying the conversion.
-        if not phase.applicable(flat):
-            return None
-        # Both fallback phases (g, l) restructure natural loops; on a
-        # loop-free function they are dormant without ever mutating, so
-        # the (content-cached) flat loop analysis settles the verdict
-        # before any object-IR view is materialized.
-        if phase.id in ("g", "l") and not flat_loops_of(flat):
+        # The stock fallback phases (g, l) gate on legality flags only,
+        # which FlatFunction carries, and restructure natural loops: on
+        # a loop-free function they are dormant without ever mutating,
+        # so the (content-cached) flat loop analysis settles the
+        # verdict before any object-IR view is materialized.
+        if stock and (not phase.applicable(flat) or not flat_loops_of(flat)):
             return None
         func = view_cache.get("view") if view_cache is not None else None
         if func is None:

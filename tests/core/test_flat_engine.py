@@ -11,8 +11,14 @@ companion round-trip tests live in ``tests/ir/test_flat.py``.
 import pytest
 
 from repro.core import checkpoint as ckpt
-from repro.core.enumeration import EnumerationConfig, enumerate_space
+from repro.core import enumeration
+from repro.core.enumeration import (
+    EnumerationConfig,
+    SpaceEnumerator,
+    enumerate_space,
+)
 from repro.core.memo import TransitionMemo
+from repro.ir.flat import FlatFunction
 from repro.opt import implicit_cleanup, phase_by_id
 from repro.programs import compile_benchmark
 from repro.search.harness import SEED_FUNCTIONS
@@ -64,6 +70,22 @@ class TestEngineParity:
         assert obj.abort_reason == "max_nodes"
         assert_results_identical(obj, flat)
 
+    @pytest.mark.parametrize(
+        "mode",
+        [dict(share_prefixes=False), dict(remap=False)],
+        ids=["replay", "no-remap"],
+    )
+    def test_replay_and_no_remap_spaces_are_bit_identical(self, mode):
+        for bench, name in (("dijkstra", "next_rand"), ("jpeg", "rgb_to_cb")):
+            func = compile_benchmark(bench).functions[name]
+            implicit_cleanup(func)
+            assert_results_identical(*both_engines(func, **mode))
+        obj, flat = both_engines(
+            compile_fn(SUM_ARRAY_SRC, "sum_array"), max_nodes=400, **mode
+        )
+        assert obj.abort_reason == "max_nodes"
+        assert_results_identical(obj, flat)
+
     def test_memo_interop(self):
         # a memo filled by one engine serves the other bit-identically
         func = compile_fn(MAXI_SRC, "maxi")
@@ -79,16 +101,48 @@ class TestEngineParity:
 
 
 class TestEngineGate:
-    def test_custom_phase_objects_force_the_object_path(self):
+    def test_every_unguarded_mode_runs_flat(self):
+        func = compile_fn(MAXI_SRC, "maxi")
+        for mode in (
+            dict(exact=True),
+            dict(remap=False),
+            dict(share_prefixes=False),
+        ):
+            assert SpaceEnumerator(func, EnumerationConfig(**mode)).flat_engine
+        for mode in (dict(engine="object"), dict(validate=True)):
+            config = EnumerationConfig(**mode)
+            assert not SpaceEnumerator(func, config).flat_engine
+
+    def test_exact_mode_checks_the_flat_fingerprint(self, monkeypatch):
+        # exact mode renders every candidate with the object renderer
+        # and must reject a flat fingerprint that disagrees with it
+        real = enumeration.flat_fingerprint
+
+        def perturbed(flat):
+            fingerprint = real(flat)
+            return fingerprint._replace(crc=fingerprint.crc ^ 1)
+
+        monkeypatch.setattr(enumeration, "flat_fingerprint", perturbed)
+        with pytest.raises(RuntimeError, match="fingerprints"):
+            enumerate_space(
+                compile_fn(MAXI_SRC, "maxi"), EnumerationConfig(exact=True)
+            )
+
+    def test_a_wrapped_phase_alone_takes_the_object_fallback(self):
         # kernels dispatch on phase.id, so an instrumented wrapper with
-        # a stock id must silently fall back to the object engine —
-        # and still produce the same space
+        # a stock id must run through the object-view fallback (and
+        # never see a FlatFunction) while the stock phases keep their
+        # kernels — and still produce the same space
         calls = []
         stock = phase_by_id("s")
 
         class Instrumented:
             def __getattr__(self, attr):
                 return getattr(stock, attr)
+
+            def applicable(self, func):
+                assert not isinstance(func, FlatFunction)
+                return stock.applicable(func)
 
             def run(self, func):
                 calls.append(func.name)
@@ -99,9 +153,9 @@ class TestEngineGate:
             Instrumented() if phase.id == "s" else phase
             for phase in EnumerationConfig().phases
         )
-        result = enumerate_space(
-            func.clone(), EnumerationConfig(engine="flat", phases=phases)
-        )
+        config = EnumerationConfig(engine="flat", phases=phases)
+        assert SpaceEnumerator(func, config).flat_engine
+        result = enumerate_space(func.clone(), config)
         assert calls, "the wrapped phase never executed"
         reference = enumerate_space(func.clone(), EnumerationConfig())
         assert ckpt.dag_digest(result.dag) == ckpt.dag_digest(reference.dag)

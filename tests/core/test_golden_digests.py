@@ -5,9 +5,10 @@ function's DAG digest (sha256 of its checkpoint form: node keys, edges,
 dormant sets and levels), attempted-edge count and completion.  The
 digest is the behaviour contract: a change that keeps it keeps every
 Table 3-7 number derived from the space.  At cap 8 all 71 functions
-must reproduce it on the flat engine, on the object engine, and on the
-object engine in exact mode (which keeps every instance's text and
-checks each hash match against it); at caps 15 and 30 on the flat
+must reproduce it on the flat and object engines, each also in exact
+mode (which keeps every instance's text and checks each hash match
+against it; on the flat engine it also checks every candidate's flat
+fingerprint against the object one); at caps 15 and 30 on the flat
 engine.
 
 ``full_space_goldens.json`` (next to this file) records the *full*
@@ -35,6 +36,7 @@ FULL_CAP = 300
 MODES = {
     "flat": dict(engine="flat"),
     "object": dict(engine="object"),
+    "flat-exact": dict(engine="flat", exact=True),
     "object-exact": dict(engine="object", exact=True),
 }
 
